@@ -37,7 +37,6 @@ class TileConfig:
     block_d: int
     block_k: int
     workers: int = 1
-    stages: int = 1  # accepted for completeness; no effect on the CPU path
 
     def validate(self, bits: int) -> None:
         for name, v in (("block_m", self.block_m), ("block_d", self.block_d),
@@ -51,13 +50,12 @@ class TileConfig:
             raise InvariantError(
                 f"block_k = {self.block_k} must be a multiple of f_int = {f_int}"
             )
-        if self.workers < 1 or self.stages < 1:
-            raise InvariantError("workers and stages must be >= 1")
+        if self.workers < 1:
+            raise InvariantError("workers must be >= 1")
 
     def as_dict(self) -> dict:
         return {"block_m": self.block_m, "block_d": self.block_d,
-                "block_k": self.block_k, "workers": self.workers,
-                "stages": self.stages}
+                "block_k": self.block_k, "workers": self.workers}
 
 
 @dataclass

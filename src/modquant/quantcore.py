@@ -20,6 +20,8 @@ from .tensorio import check_matrix
 
 SCALE_FLOOR = 1e-8
 SUPPORTED_BITS = (2, 4, 8)
+# Rows per lazy-update block of the GPTQ sweep.
+GPTQ_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -140,6 +142,10 @@ def gptq_quantize(W: np.ndarray, H: np.ndarray, cfg: QuantConfig) -> QuantizedMa
     fitted on the original weights; after snapping row i, the residual is
     propagated into rows > i through the upper Cholesky factor of H^-1,
     the step that lets later rows absorb earlier rounding error.
+
+    The propagation is lazy (GPTQ's batch update): rows are swept in blocks
+    of GPTQ_BLOCK, each row's residual updates only the rows left in its
+    block, and the block's residuals reach the rows below in one GEMM.
     """
     W = check_matrix(W)
     H = np.asarray(H, dtype=np.float64)
@@ -149,17 +155,7 @@ def gptq_quantize(W: np.ndarray, H: np.ndarray, cfg: QuantConfig) -> QuantizedMa
             f"Hessian shape {H.shape} does not match weight rows {n_rows}"
         )
     params = compute_group_params(W, cfg)
-
-    # Upper Cholesky factor U with H^-1 = U^T U; linear algebra runs in
-    # f64 so the row feedback stays accurate for ill-conditioned H.
-    try:
-        c = np.linalg.cholesky(H)
-        h_inv = np.linalg.inv(c.T) @ np.linalg.inv(c)
-        u = np.linalg.cholesky(h_inv).T
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            f"Cholesky failed; increase damping: {exc}"
-        ) from exc
+    u = inverse_hessian_factor(H)
 
     work = W.astype(np.float64)
     qint = np.empty((n_rows, n_cols), dtype=np.int32)
@@ -167,20 +163,42 @@ def gptq_quantize(W: np.ndarray, H: np.ndarray, cfg: QuantConfig) -> QuantizedMa
     zeros = params.zeros.astype(np.float64)
     g_idx = params.g_idx
     maxq = cfg.maxq
-    for i in range(n_rows):
-        g = g_idx[i]
-        s, z = scales[g], zeros[g]
-        q = np.clip(np.round(work[i] / s) + z, 0, maxq)
-        qint[i] = q.astype(np.int32)
-        dq = (q - z) * s
-        err = (work[i] - dq) / u[i, i]
-        if i + 1 < n_rows:
-            work[i + 1 :] -= np.outer(u[i, i + 1 :], err)
+    for b0 in range(0, n_rows, GPTQ_BLOCK):
+        b1 = min(b0 + GPTQ_BLOCK, n_rows)
+        errs = np.empty((b1 - b0, n_cols))
+        for i in range(b0, b1):
+            g = g_idx[i]
+            s, z = scales[g], zeros[g]
+            q = np.clip(np.round(work[i] / s) + z, 0, maxq)
+            qint[i] = q.astype(np.int32)
+            err = (work[i] - (q - z) * s) / u[i, i]
+            errs[i - b0] = err
+            if i + 1 < b1:
+                work[i + 1 : b1] -= np.outer(u[i, i + 1 : b1], err)
+        if b1 < n_rows:
+            work[b1:] -= u[b0:b1, b1:].T @ errs
     return QuantizedMatrix(qint, params, cfg.bits)
+
+
+def inverse_hessian_factor(H: np.ndarray) -> np.ndarray:
+    """Upper-triangular U with U^T U = H^-1.
+
+    With J the row/column flip, J H J = L L^T gives H = R R^T for the upper
+    triangular R = J L J, so U = R^-1: one Cholesky and one triangular
+    inverse. Pass H in f64 so the row feedback stays accurate for
+    ill-conditioned H. A non-positive-definite H raises NumericError.
+    """
+    try:
+        low = np.linalg.cholesky(H[::-1, ::-1])
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(
+            f"Cholesky failed; increase damping: {exc}"
+        ) from exc
+    return np.linalg.inv(low[::-1, ::-1])
 
 
 def proxy_loss(W: np.ndarray, q: QuantizedMatrix, H: np.ndarray) -> float:
     """Hessian-weighted reconstruction error trace(D^T H D) / O."""
     d = (check_matrix(W) - dequantize_matrix(q)).astype(np.float64)
     h = np.asarray(H, dtype=np.float64)
-    return float(np.einsum("io,ij,jo->", d, h, d) / d.shape[1])
+    return float(np.sum(d * (h @ d)) / d.shape[1])

@@ -126,8 +126,11 @@ def _load(path):
         manifest = json.loads(body[:manifest_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: malformed manifest: {exc}") from exc
-    if not isinstance(manifest, dict) or "tensors" not in manifest:
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), dict):
         raise FormatError(f"{path}: manifest missing 'tensors' map")
+    attrs = manifest.get("attrs", {})
+    if not isinstance(attrs, dict):
+        raise FormatError(f"{path}: manifest 'attrs' is not a map")
     payload = body[manifest_len:]
 
     tensors = {}
@@ -139,7 +142,12 @@ def _load(path):
             off, length = int(entry["offset"]), int(entry["length"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: bad manifest entry for {name!r}") from exc
-        if off < 0 or off + length > len(payload):
+        if len(shape) not in (1, 2) or min(shape) < 0 or off < 0 or length < 0:
+            raise FormatError(
+                f"{path}: tensor {name!r} has bad shape {list(shape)}, "
+                f"offset {off} or length {length}"
+            )
+        if off + length > len(payload):
             raise FormatError(
                 f"{path}: tensor {name!r} extends past the payload "
                 f"({off}+{length} > {len(payload)})"
@@ -154,12 +162,19 @@ def _load(path):
             payload, dtype=dtype, count=expected // dtype.itemsize, offset=off
         ).reshape(shape).copy()
     spans.sort()
-    for (_, end_a, name_a), (start_b, _, name_b) in zip(spans, spans[1:]):
-        if start_b < end_a:
+    end = 0
+    for start, stop, name in spans:
+        if start != end:
             raise FormatError(
-                f"{path}: tensors {name_a!r} and {name_b!r} overlap in the payload"
+                f"{path}: tensor {name!r} starts at {start}, not at {end}: "
+                "tensors must tile the payload without gaps or overlaps"
             )
-    return tensors, manifest.get("attrs", {})
+        end = stop
+    if end != len(payload):
+        raise FormatError(
+            f"{path}: {len(payload) - end} payload bytes after the last tensor"
+        )
+    return tensors, attrs
 
 
 def read_container(path) -> dict[str, np.ndarray]:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from modquant import (
     InvariantError,
+    NumericError,
     QuantConfig,
     compute_group_params,
     dequantize_matrix,
@@ -15,13 +16,50 @@ from modquant import (
     rtn_quantize,
     seeded_random_matrix,
 )
-from modquant.quantcore import SCALE_FLOOR, GroupQuantParams, QuantizedMatrix
+from modquant.quantcore import (
+    GPTQ_BLOCK,
+    SCALE_FLOOR,
+    GroupQuantParams,
+    QuantizedMatrix,
+    inverse_hessian_factor,
+)
 
 
 def spd_hessian(dim, seed, rows=64):
     from modquant import synthetic_activations
 
     return hessian_from_samples([synthetic_activations(rows, dim, seed)], dim, 0.01)
+
+
+def row_loop_gptq(W, H, cfg):
+    """Reference GPTQ sweep: after each row, a full rank-1 update of every
+    remaining row through the upper Cholesky factor of H^-1, computed as
+    cholesky -> inv(c^T) @ inv(c) -> cholesky."""
+    W = np.asarray(W, dtype=np.float32)
+    H = np.asarray(H, dtype=np.float64)
+    n_rows, n_cols = W.shape
+    params = compute_group_params(W, cfg)
+    c = np.linalg.cholesky(H)
+    u = np.linalg.cholesky(np.linalg.inv(c.T) @ np.linalg.inv(c)).T
+    work = W.astype(np.float64)
+    qint = np.empty((n_rows, n_cols), dtype=np.int32)
+    scales = params.scales.astype(np.float64)
+    zeros = params.zeros.astype(np.float64)
+    for i in range(n_rows):
+        g = params.g_idx[i]
+        s, z = scales[g], zeros[g]
+        q = np.clip(np.round(work[i] / s) + z, 0, cfg.maxq)
+        qint[i] = q.astype(np.int32)
+        err = (work[i] - (q - z) * s) / u[i, i]
+        if i + 1 < n_rows:
+            work[i + 1 :] -= np.outer(u[i, i + 1 :], err)
+    return QuantizedMatrix(qint, params, cfg.bits)
+
+
+def einsum_proxy_loss(W, q, H):
+    """Reference trace(D^T H D) / O as one three-operand contraction."""
+    d = (W - dequantize_matrix(q)).astype(np.float64)
+    return float(np.einsum("io,ij,jo->", d, np.asarray(H, np.float64), d) / d.shape[1])
 
 
 class TestQuantConfig:
@@ -220,6 +258,34 @@ class TestGptq:
             ok += lg <= lr + 1e-6 * abs(lr)
         assert ok >= 0.99 * total
 
+    @pytest.mark.parametrize("rows", [129, 200, 300, 384])
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    @pytest.mark.parametrize("gs", [16, 128, -1])
+    def test_blocked_sweep_matches_row_loop(self, rows, bits, gs):
+        # rows > GPTQ_BLOCK and not all multiples of it, so residuals cross
+        # block boundaries through the GEMM update and the last block is short
+        assert rows > GPTQ_BLOCK
+        cfg = QuantConfig(bits=bits, groupsize=gs)
+        seed = rows * 10 + bits
+        w = seeded_random_matrix(rows, 24, seed)
+        h = spd_hessian(rows, 50_000 + seed, rows=2 * rows)
+        q = gptq_quantize(w, h, cfg)
+        assert q.qint.tobytes() == row_loop_gptq(w, h, cfg).qint.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 7, 128, 200])
+    def test_inverse_hessian_factor(self, dim):
+        h = spd_hessian(dim, 70 + dim).astype(np.float64)
+        u = inverse_hessian_factor(h)
+        assert not np.tril(u, -1).any()
+        assert (np.diag(u) > 0).all()
+        np.testing.assert_allclose(u.T @ u @ h, np.eye(dim), atol=1e-8)
+
+    def test_not_positive_definite_is_numeric_error(self):
+        h = np.eye(8)
+        h[3, 3] = -1.0
+        with pytest.raises(NumericError):
+            gptq_quantize(seeded_random_matrix(8, 4, 0), h, QuantConfig())
+
     def test_output_invariants(self):
         cfg = QuantConfig(bits=4, groupsize=8)
         w = seeded_random_matrix(24, 8, 11)
@@ -227,6 +293,18 @@ class TestGptq:
         assert (q.qint >= 0).all() and (q.qint <= 15).all()
         assert (q.params.scales > 0).all()
         assert np.array_equal(q.params.g_idx, group_index(24, 8))
+
+
+class TestProxyLoss:
+    @pytest.mark.parametrize("dim,cols", [(1, 3), (16, 16), (129, 40), (300, 7)])
+    def test_matches_einsum(self, dim, cols):
+        cfg = QuantConfig(bits=4, groupsize=16)
+        for seed in range(3):
+            w = seeded_random_matrix(dim, cols, 80 + seed)
+            h = spd_hessian(dim, 90 + seed)
+            for q in (rtn_quantize(w, cfg), gptq_quantize(w, h, cfg)):
+                ref = einsum_proxy_loss(w, q, h)
+                assert proxy_loss(w, q, h) == pytest.approx(ref, rel=1e-12)
 
 
 def test_group_index_minus_one():

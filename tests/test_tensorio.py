@@ -130,6 +130,43 @@ def test_corrupt_manifest_fuzz(tmp_path):
             assert t.size in (0, 16)
 
 
+def _write_raw(path, manifest, payload):
+    raw = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(struct.pack("<4sIQ", b"CMDQ", 1, len(raw)) + raw + payload)
+
+
+def _entry(shape, offset=0, length=None, dtype="f32"):
+    if length is None:
+        length = 4 * int(np.prod(shape))
+    return {"dtype": dtype, "shape": shape, "offset": offset, "length": length}
+
+
+@pytest.mark.parametrize(
+    "tensors,attrs,payload",
+    [
+        ({"x": _entry([-1, 4], length=-16)}, {}, bytes(32)),
+        ({"x": _entry([-2, -4], length=32)}, {}, bytes(32)),
+        ({"x": _entry([2, 4], offset=-32)}, {}, bytes(32)),
+        ([1, 2], {}, b""),
+        ({"x": 5}, {}, bytes(4)),
+        ({"x": _entry([1, 2, 2])}, {}, bytes(16)),
+        ({"x": _entry([])}, {}, bytes(4)),
+        ({"x": _entry([2, 2], offset=4)}, {}, bytes(20)),
+        ({"x": _entry([2, 2])}, {}, bytes(20)),
+        ({"x": _entry([2, 2]), "y": _entry([2], offset=8)}, {}, bytes(16)),
+        ({"x": _entry([1])}, [1], bytes(4)),
+    ],
+    ids=["negative-dim-and-length", "negative-dims", "negative-offset",
+         "tensors-not-a-map", "entry-not-a-map", "3-d", "0-d", "gap",
+         "trailing-bytes", "overlap", "attrs-not-a-map"],
+)
+def test_bad_manifest_is_format_error(tmp_path, tensors, attrs, payload):
+    path = tmp_path / "c.bin"
+    _write_raw(path, {"tensors": tensors, "attrs": attrs}, payload)
+    with pytest.raises(FormatError):
+        load_container(path)
+
+
 def test_unsupported_dtype_rejected(tmp_path):
     with pytest.raises(InvariantError, match="dtype"):
         write_container(tmp_path / "c.bin", {"x": np.zeros(2, dtype=np.float64)})
