@@ -150,10 +150,19 @@ def _parse_configs(path) -> list[TileConfig]:
         raise FormatError(f"{path}: cannot parse tile configs: {exc}") from exc
     if not isinstance(raw, list):
         raise FormatError(f"{path}: expected a JSON array of tile configs")
-    try:
-        return [TileConfig(**entry) for entry in raw]
-    except TypeError as exc:
-        raise FormatError(f"{path}: bad tile config entry: {exc}") from exc
+    configs = []
+    for entry in raw:
+        if not isinstance(entry, dict) or any(
+            type(v) is not int for v in entry.values()
+        ):
+            raise FormatError(
+                f"{path}: tile config entry {entry!r} must map fields to integers"
+            )
+        try:
+            configs.append(TileConfig(**entry))
+        except TypeError as exc:
+            raise FormatError(f"{path}: bad tile config entry: {exc}") from exc
+    return configs
 
 
 def _cmd_bench(args) -> int:

@@ -2,10 +2,10 @@
 
 The kernel computes A (M x K) times a packed K x D layer by B_M x B_D
 output tiles, each accumulating over B_K reduction slabs. Every slab of
-the weight tile is unpacked and dequantized on the fly; reduction tiles
-never split a 32-bit word because block_k is constrained to a multiple of
-f_int. Tiles own disjoint output regions, so worker threads need no locks
-and results are byte-identical for any worker count.
+the weight tile is unpacked and dequantized in f32 on the fly; reduction
+tiles never split a 32-bit word because block_k is constrained to a
+multiple of f_int. Tiles own disjoint output regions, so worker threads
+need no locks and results are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -147,7 +147,12 @@ def _dequant_slab(layer: PackedLinear, k0: int, k1: int, d0: int, d1: int,
     words = layer.qweight[k0 // f_int : k1 // f_int, d0:d1]
     qint = unpack_weights(words, layer.bits)
     g = layer.g_idx[k0:k1]
-    return ((qint - zeros[g, d0:d1]) * scales[g, d0:d1]).astype(np.float32)
+    qint -= zeros[g, d0:d1]
+    # |q - z| < 2^8 converts to f32 exactly, and its f64 product with an f32
+    # scale is exact, so one f32 product rounds as dequantize_packed does.
+    slab = qint.astype(np.float32)
+    slab *= scales[g, d0:d1]
+    return slab
 
 
 def quant_matmul(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantError
+from .errors import FormatError, InvariantError
 from .quantcore import SUPPORTED_BITS, QuantizedMatrix, dequantize_matrix
 
 
@@ -52,10 +52,13 @@ def unpack_weights(qweight: np.ndarray, bits: int) -> np.ndarray:
     """Inverse of pack_weights: (I/f_int) x O words back to I x O codes."""
     f_int = lanes_per_word(bits)
     w = np.asarray(qweight, dtype=np.uint32)
-    mask = np.uint32((1 << bits) - 1)
+    rows, cols = w.shape
     shifts = (bits * np.arange(f_int, dtype=np.uint32)).reshape(1, f_int, 1)
-    lanes = (w[:, None, :] >> shifts) & mask
-    return lanes.reshape(w.shape[0] * f_int, w.shape[1]).astype(np.int32)
+    lanes = np.empty((rows, f_int, cols), dtype=np.uint32)
+    np.right_shift(w[:, None, :], shifts, out=lanes)
+    lanes &= np.uint32((1 << bits) - 1)
+    # Codes are below 2^bits <= 2^8, so the int32 view holds the same values.
+    return lanes.reshape(rows * f_int, cols).view(np.int32)
 
 
 def pack_zeros(zeros: np.ndarray, bits: int) -> np.ndarray:
@@ -192,16 +195,43 @@ def packed_tensors(layer: PackedLinear, prefix: str) -> dict[str, np.ndarray]:
 
 
 def packed_from_tensors(
-    tensors: dict[str, np.ndarray], prefix: str, bits: int,
+    tensors: dict[str, np.ndarray], prefix: str, bits: int, groupsize: int,
     in_features: int, out_features: int,
 ) -> PackedLinear:
-    return PackedLinear(
-        qweight=tensors[f"{prefix}/qweight"],
-        scales=tensors[f"{prefix}/scales"],
-        qzeros=tensors[f"{prefix}/qzeros"],
-        g_idx=tensors[f"{prefix}/g_idx"],
-        bias=tensors.get(f"{prefix}/bias"),
-        bits=bits,
-        in_features=in_features,
-        out_features=out_features,
-    )
+    """Rebuild the layer under `prefix` from a container tensor map.
+
+    Raises FormatError unless every tensor is present with the dtype and
+    shape that (in_features, out_features, bits, groupsize) imply and every
+    g_idx entry names one of the G groups.
+    """
+    f_int = lanes_per_word(bits)
+    if in_features < 1 or out_features < 1 or in_features % f_int != 0:
+        raise FormatError(
+            f"layer {prefix!r}: ({in_features}, {out_features}) is not a "
+            f"positive shape with in_features a multiple of f_int = {f_int}"
+        )
+    gs = in_features if groupsize == -1 else groupsize
+    groups = -(-in_features // gs)
+    expected = {
+        "qweight": (np.uint32, (in_features // f_int, out_features)),
+        "scales": (np.float16, (groups, out_features)),
+        "qzeros": (np.uint32, (groups, -(-out_features // f_int))),
+        "g_idx": (np.int32, (in_features,)),
+        "bias": (np.float32, (out_features,)),
+    }
+    found = {}
+    for name, (dtype, shape) in expected.items():
+        t = found[name] = tensors.get(f"{prefix}/{name}")
+        if t is None and name != "bias":
+            raise FormatError(f"layer {prefix!r}: missing tensor {name!r}")
+        if t is not None and (t.dtype != dtype or t.shape != shape):
+            raise FormatError(
+                f"layer {prefix!r}: {name} is {t.dtype} {list(t.shape)}, "
+                f"expected {np.dtype(dtype)} {list(shape)}"
+            )
+    if found["g_idx"].min() < 0 or found["g_idx"].max() >= groups:
+        raise FormatError(
+            f"layer {prefix!r}: g_idx values must lie in [0, {groups})"
+        )
+    return PackedLinear(**found, bits=bits, in_features=in_features,
+                        out_features=out_features)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CalibrationSet, hessian_from_samples
-from .errors import InvariantError
+from .errors import FormatError, InvariantError
 from .model import GROUP_ORDER, SyntheticModel
 from .packfmt import (
     PackedLinear,
@@ -25,7 +25,13 @@ from .packfmt import (
     packed_from_tensors,
     packed_tensors,
 )
-from .quantcore import QuantConfig, gptq_quantize, proxy_loss, rtn_quantize
+from .quantcore import (
+    SUPPORTED_BITS,
+    QuantConfig,
+    gptq_quantize,
+    proxy_loss,
+    rtn_quantize,
+)
 from .tensorio import load_container, write_container
 
 REPORT_SCHEMA_VERSION = 1
@@ -217,15 +223,39 @@ def save_checkpoint(ckpt: QuantizedCheckpoint, path) -> None:
     write_container(path, tensors, attrs)
 
 
+def _int_attr(meta, key: str, where) -> int:
+    value = meta.get(key) if isinstance(meta, dict) else None
+    if type(value) is not int:
+        raise FormatError(
+            f"{where}: attribute {key!r} must be an integer, got {value!r}"
+        )
+    return value
+
+
 def load_checkpoint(path) -> QuantizedCheckpoint:
+    """Read a checkpoint written by `save_checkpoint`.
+
+    A missing or mistyped attribute, and any layer tensor that is missing or
+    does not match the layer's shape (see `packed_from_tensors`), is a
+    FormatError.
+    """
     tensors, attrs = load_container(path)
     if attrs.get("schema") != "quantized-checkpoint/1":
         raise InvariantError(f"{path}: not a quantized-checkpoint container")
-    bits = int(attrs["bits"])
-    layers = {
-        name: packed_from_tensors(
-            tensors, name, bits, meta["in_features"], meta["out_features"]
+    bits = _int_attr(attrs, "bits", path)
+    groupsize = _int_attr(attrs, "groupsize", path)
+    if bits not in SUPPORTED_BITS or (groupsize != -1 and groupsize < 1):
+        raise FormatError(f"{path}: bad bits {bits} or groupsize {groupsize}")
+    if not isinstance(attrs.get("layers"), dict) or "report" not in attrs:
+        raise FormatError(
+            f"{path}: attributes 'layers' (a map) and 'report' are required"
         )
-        for name, meta in attrs["layers"].items()
-    }
+    layers = {}
+    for name, meta in attrs["layers"].items():
+        where = f"{path}: layer {name!r}"
+        layers[name] = packed_from_tensors(
+            tensors, name, bits, groupsize,
+            _int_attr(meta, "in_features", where),
+            _int_attr(meta, "out_features", where),
+        )
     return QuantizedCheckpoint(layers, attrs["report"])

@@ -127,6 +127,15 @@ def test_bench_malformed_configs(workspace):
                  "--configs", str(cfgs)]) == 3
 
 
+@pytest.mark.parametrize("value", ['"32"', "true", "32.0", "null"])
+def test_bench_non_integer_config_field(workspace, capsys, value):
+    cfgs = workspace / "cfgs.json"
+    cfgs.write_text('[{"block_m": %s, "block_d": 8, "block_k": 8}]' % value)
+    assert main(["bench", "--m", "8", "--k", "16", "--d", "8",
+                 "--configs", str(cfgs)]) == 3
+    assert "block_m" in capsys.readouterr().err
+
+
 def test_gen_model_deterministic(tmp_path):
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
     args = ["gen-model", "--vision-layers", "1", "--crossmodal-layers", "1",

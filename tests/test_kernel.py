@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from modquant import kernel
 from modquant import (
     InvariantError,
     QuantConfig,
@@ -15,6 +16,7 @@ from modquant import (
     seeded_random_matrix,
     with_span,
 )
+from modquant.packfmt import unpack_weights
 
 
 def packed_layer(k, d, seed, bits=4, groupsize=-1, bias=None):
@@ -165,6 +167,81 @@ class TestQuantMatmul:
         layer = packed_layer(16, 8, 0)
         with pytest.raises(InvariantError):
             quant_matmul(seeded_random_matrix(4, 24, 0), layer, TileConfig(8, 8, 8))
+
+
+def shift_mask_unpack(words, bits):
+    """Oracle unpack: shift, mask, then an int32 copy."""
+    f_int = 32 // bits
+    w = np.asarray(words, dtype=np.uint32)
+    shifts = (bits * np.arange(f_int, dtype=np.uint32)).reshape(1, f_int, 1)
+    lanes = (w[:, None, :] >> shifts) & np.uint32((1 << bits) - 1)
+    return lanes.reshape(w.shape[0] * f_int, w.shape[1]).astype(np.int32)
+
+
+def f64_dequant_slab(layer, k0, k1, d0, d1, zeros, scales):
+    """Oracle slab: int32 times f32 promotes to an exact f64, rounded once."""
+    f_int = 32 // layer.bits
+    qint = shift_mask_unpack(layer.qweight[k0 // f_int : k1 // f_int, d0:d1],
+                             layer.bits)
+    g = layer.g_idx[k0:k1]
+    return ((qint - zeros[g, d0:d1]) * scales[g, d0:d1]).astype(np.float32)
+
+
+# K = 200 ends in a short group of 8 at groupsize 16; 2-bit words hold 16
+# rows, so there K = 240 (a short group of 112 at groupsize 128). The
+# smaller block_k cuts every group of 128 and -1, and groups of 16 for
+# bits 4 and 8; block_k = 64 leaves a short last slab.
+BYTE_GRID = [(bits, gs) for bits in (2, 4, 8) for gs in (16, 128, -1)]
+
+
+def grid_layer(bits, groupsize):
+    k = 240 if bits == 2 else 200
+    bias = np.linspace(-1, 1, 72).astype(np.float32)
+    return packed_layer(k, 72, 30 + bits, bits=bits, groupsize=groupsize,
+                        bias=bias)
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_unpack_matches_shift_mask_astype(self, bits):
+        rng = np.random.default_rng(bits)
+        words = rng.integers(0, 1 << 32, size=(6, 5), dtype=np.uint32)
+        words[0, :] = 0xFFFFFFFF
+        words[1, :] = np.uint32(((1 << bits) - 1) << (32 - bits))  # top lane
+        got = unpack_weights(words, bits)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, shift_mask_unpack(words, bits))
+        assert got[32 // bits - 1, 0] == (1 << bits) - 1
+        assert got[2 * (32 // bits) - 1, 0] == (1 << bits) - 1
+
+    @pytest.mark.parametrize("bits,groupsize", BYTE_GRID)
+    def test_slab_matches_f64_oracle(self, bits, groupsize):
+        layer = grid_layer(bits, groupsize)
+        zeros = layer.unpack_zero_codes()
+        scales = layer.scales.astype(np.float32)
+        assert np.any(zeros)  # the zero-point subtraction is exercised
+        k = layer.in_features
+        for block_k in (max(8, 32 // bits), 64):
+            for k0 in range(0, k, block_k):
+                k1 = min(k0 + block_k, k)
+                for d0, d1 in ((0, 32), (32, 72)):
+                    got = kernel._dequant_slab(layer, k0, k1, d0, d1, zeros, scales)
+                    want = f64_dequant_slab(layer, k0, k1, d0, d1, zeros, scales)
+                    assert got.dtype == np.float32
+                    assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("bits,groupsize", BYTE_GRID)
+    def test_quant_matmul_matches_f64_oracle(self, bits, groupsize, workers,
+                                             monkeypatch):
+        layer = grid_layer(bits, groupsize)
+        a = seeded_random_matrix(20, layer.in_features, 40 + bits)
+        cfgs = [TileConfig(8, 32, block_k, workers)
+                for block_k in (max(8, 32 // bits), 64)]
+        got = [quant_matmul(a, layer, c) for c in cfgs]
+        monkeypatch.setattr(kernel, "_dequant_slab", f64_dequant_slab)
+        for c, out in zip(cfgs, got):
+            assert out.tobytes() == quant_matmul(a, layer, c).tobytes()
 
 
 class TestSpans:

@@ -5,6 +5,7 @@ import pytest
 
 from modquant import (
     CalibrationSet,
+    FormatError,
     InvariantError,
     QuantConfig,
     circular_eval_accuracy,
@@ -12,12 +13,17 @@ from modquant import (
     estimate_packed_size,
     generate_model,
     load_checkpoint,
+    load_container,
+    pack_linear,
     quantize_model,
+    rtn_quantize,
     save_checkpoint,
     seeded_random_matrix,
     size_report,
     size_report_model,
+    write_container,
 )
+from modquant.pipeline import QuantizedCheckpoint
 from modquant.model import GROUP_ORDER
 
 
@@ -190,3 +196,73 @@ class TestSizeReport:
         report = size_report_model(m, 4, 128)
         assert 0.25 <= report["quantized_ratio"] <= 0.275
         assert 0.25 <= report["ratio"] <= 0.275  # misc = 0
+
+
+def _drop(key):
+    return lambda t, a: t.pop(key)
+
+
+def _tensor(key, fn):
+    return lambda t, a: t.__setitem__(key, fn(t[key]))
+
+
+def _poke(key, index, value):
+    return lambda t, a: t[key].__setitem__(index, value)
+
+
+def _attr(key, value=None):
+    if value is None:
+        return lambda t, a: a.pop(key)
+    return lambda t, a: a.__setitem__(key, value)
+
+
+def _meta(key, value=None):
+    return lambda t, a: _attr(key, value)(t, a["layers"]["v"])
+
+
+# A 64 x 24 4-bit layer "v" at groupsize 16 (G = 4) with a bias.
+CKPT_MUTATIONS = {
+    "missing qweight": _drop("v/qweight"),
+    "missing scales": _drop("v/scales"),
+    "missing qzeros": _drop("v/qzeros"),
+    "missing g_idx": _drop("v/g_idx"),
+    "truncated qweight": _tensor("v/qweight", lambda x: x[:-1]),
+    "qweight i32": _tensor("v/qweight", lambda x: x.view(np.int32)),
+    "scales f32": _tensor("v/scales", lambda x: x.astype(np.float32)),
+    "scales missing a group": _tensor("v/scales", lambda x: x[:-1]),
+    "qzeros extra word": _tensor("v/qzeros", lambda x: np.zeros((4, 4), x.dtype)),
+    "g_idx short": _tensor("v/g_idx", lambda x: x[:-8]),
+    "g_idx u32": _tensor("v/g_idx", lambda x: x.view(np.uint32)),
+    "g_idx equals G": _poke("v/g_idx", -1, 4),
+    "g_idx negative": _poke("v/g_idx", 0, -1),
+    "bias short": _tensor("v/bias", lambda x: x[:-1]),
+    "bias f16": _tensor("v/bias", lambda x: x.astype(np.float16)),
+    "missing bits": _attr("bits"),
+    "bits as string": _attr("bits", "4"),
+    "bits 3": _attr("bits", 3),
+    "missing groupsize": _attr("groupsize"),
+    "groupsize 0": _attr("groupsize", 0),
+    "groupsize 32": _attr("groupsize", 32),
+    "missing layers": _attr("layers"),
+    "missing report": _attr("report"),
+    "missing in_features": _meta("in_features"),
+    "in_features off by a word": _meta("in_features", 72),
+    "out_features as float": _meta("out_features", 24.0),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(CKPT_MUTATIONS))
+def test_load_checkpoint_rejects_malformed_layer(tmp_path, mutation):
+    cfg = QuantConfig(bits=4, groupsize=16)
+    layer = pack_linear(rtn_quantize(seeded_random_matrix(64, 24, 1), cfg),
+                        bias=np.ones(24, dtype=np.float32))
+    report = {"bits": 4, "groupsize": 16,
+              "layers": [{"name": "v", "in_features": 64, "out_features": 24}]}
+    path = tmp_path / "ck.bin"
+    save_checkpoint(QuantizedCheckpoint({"v": layer}, report), path)
+    assert load_checkpoint(path).layers["v"].qweight.shape == (8, 24)
+    tensors, attrs = load_container(path)
+    CKPT_MUTATIONS[mutation](tensors, attrs)
+    write_container(path, tensors, attrs)
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
