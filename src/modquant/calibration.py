@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvariantError, NumericError
+from .errors import FormatError, InvariantError, NumericError
 from .model import SyntheticModel
-from .tensorio import check_matrix, load_container, write_container
+from .tensorio import check_matrix, load_container, typed_attr, write_container
 
 
 @dataclass
@@ -159,14 +159,30 @@ def save_calibration(calib: CalibrationSet, path) -> None:
 
 
 def load_calibration(path) -> CalibrationSet:
+    """Read a set written by `save_calibration`.
+
+    A missing or mistyped `num_samples` (an integer >= 1) or `module_id`
+    (a string), and a missing or non-2-D `calib/samples/<k>` tensor for any
+    k < num_samples, is a FormatError.
+    """
     tensors, attrs = load_container(path)
     if attrs.get("schema") != "calibration/1":
         raise InvariantError(f"{path}: not a calibration container")
-    n = int(attrs["num_samples"])
-    samples = [tensors[f"calib/samples/{k}"] for k in range(n)]
+    n = typed_attr(attrs, "num_samples", int, path)
+    if n < 1:
+        raise FormatError(f"{path}: 'num_samples' must be >= 1, got {n}")
+    module_id = typed_attr(attrs, "module_id", str, path)
+    samples = []
+    for k in range(n):
+        sample = tensors.get(f"calib/samples/{k}")
+        if sample is None or sample.ndim != 2:
+            raise FormatError(
+                f"{path}: tensor 'calib/samples/{k}' is missing or not 2-D"
+            )
+        samples.append(sample)
     aux = {
         name.removeprefix("calib/aux/"): t
         for name, t in tensors.items()
         if name.startswith("calib/aux/")
     }
-    return CalibrationSet(attrs["module_id"], samples, aux)
+    return CalibrationSet(module_id, samples, aux)

@@ -12,8 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvariantError
-from .tensorio import check_matrix, load_container, write_container
+from .errors import FormatError, InvariantError
+from .tensorio import (
+    check_matrix,
+    list_attr,
+    load_container,
+    typed_attr,
+    write_container,
+)
 
 GROUP_ORDER = ("attn_qkv", "attn_out", "mlp_gate_up", "mlp_down")
 
@@ -153,21 +159,35 @@ def save_model(model: SyntheticModel, path) -> None:
 
 
 def load_model(path) -> SyntheticModel:
+    """Read a model written by `save_model`.
+
+    A missing or mistyped attribute (`vision_layers`, `crossmodal_layers`
+    with each entry's `index` and `groups` and each group's `kind` and
+    `members`, `embed_dims` as two integers, `misc_params` when present) is
+    a FormatError.
+    """
     tensors, attrs = load_container(path)
     if attrs.get("schema") != "synthetic-model/1":
         raise InvariantError(f"{path}: not a synthetic-model container")
-    layers = [
-        CrossModalLayer(
-            entry["index"],
-            [ComponentGroup(g["kind"], list(g["members"])) for g in entry["groups"]],
+    vision_layers = list_attr(attrs, "vision_layers", str, path)
+    layers = []
+    for entry in list_attr(attrs, "crossmodal_layers", dict, path):
+        where = f"{path}: cross-modal layer {entry.get('index')!r}"
+        groups = [
+            ComponentGroup(typed_attr(g, "kind", str, where),
+                           list_attr(g, "members", str, where))
+            for g in list_attr(entry, "groups", dict, where)
+        ]
+        layers.append(CrossModalLayer(typed_attr(entry, "index", int, where), groups))
+    embed_dims = list_attr(attrs, "embed_dims", int, path)
+    if len(embed_dims) != 2:
+        raise FormatError(
+            f"{path}: 'embed_dims' must hold two integers, got {embed_dims}"
         )
-        for entry in attrs["crossmodal_layers"]
-    ]
+    misc_params = 0
+    if "misc_params" in attrs:
+        misc_params = typed_attr(attrs, "misc_params", int, path)
     weights = {name: check_matrix(t) for name, t in tensors.items()}
     return SyntheticModel(
-        list(attrs["vision_layers"]),
-        layers,
-        weights,
-        tuple(attrs["embed_dims"]),
-        int(attrs.get("misc_params", 0)),
+        vision_layers, layers, weights, tuple(embed_dims), misc_params
     )

@@ -29,10 +29,11 @@ from .quantcore import (
     SUPPORTED_BITS,
     QuantConfig,
     gptq_quantize,
+    inverse_hessian_factor,
     proxy_loss,
     rtn_quantize,
 )
-from .tensorio import load_container, write_container
+from .tensorio import load_container, typed_attr, write_container
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -73,10 +74,11 @@ def quantize_model(
     entries = []
     order = 0
 
-    def quantize_one(name, weight, hessian, module, layer_idx, group, calib_hash):
+    def quantize_one(name, weight, hessian, module, layer_idx, group, calib_hash,
+                     factor=None):
         nonlocal order
         if method == "gptq":
-            q = gptq_quantize(weight, hessian, cfg)
+            q = gptq_quantize(weight, hessian, cfg, factor=factor)
         else:
             q = rtn_quantize(weight, cfg)
         layers[name] = pack_linear(q)
@@ -106,16 +108,18 @@ def quantize_model(
         samples = [(s @ w).astype(np.float32) for s in samples]
 
     # Cross-modal phase: one shared calibration input (and Hessian, since
-    # every member shares the layer's input-feature space) per layer.
+    # every member shares the layer's input-feature space) per layer, so
+    # GPTQ factorizes that Hessian once for all members.
     samples = [s.copy() for s in calib_m.samples] if model.crossmodal_layers else []
     for layer in model.crossmodal_layers:
         calib_hash = _hash_samples(samples)
         hessian = hessian_from_samples(samples, d_m, cfg.damp_ratio)
+        factor = inverse_hessian_factor(hessian) if method == "gptq" else None
         for group in layer.groups:
             for name in group.members:
                 quantize_one(
                     name, model.weights[name], hessian,
-                    "crossmodal", layer.index, group.group_kind, calib_hash,
+                    "crossmodal", layer.index, group.group_kind, calib_hash, factor,
                 )
         samples = [model.forward_crossmodal_layer(layer, s) for s in samples]
 
@@ -223,15 +227,6 @@ def save_checkpoint(ckpt: QuantizedCheckpoint, path) -> None:
     write_container(path, tensors, attrs)
 
 
-def _int_attr(meta, key: str, where) -> int:
-    value = meta.get(key) if isinstance(meta, dict) else None
-    if type(value) is not int:
-        raise FormatError(
-            f"{where}: attribute {key!r} must be an integer, got {value!r}"
-        )
-    return value
-
-
 def load_checkpoint(path) -> QuantizedCheckpoint:
     """Read a checkpoint written by `save_checkpoint`.
 
@@ -242,8 +237,8 @@ def load_checkpoint(path) -> QuantizedCheckpoint:
     tensors, attrs = load_container(path)
     if attrs.get("schema") != "quantized-checkpoint/1":
         raise InvariantError(f"{path}: not a quantized-checkpoint container")
-    bits = _int_attr(attrs, "bits", path)
-    groupsize = _int_attr(attrs, "groupsize", path)
+    bits = typed_attr(attrs, "bits", int, path)
+    groupsize = typed_attr(attrs, "groupsize", int, path)
     if bits not in SUPPORTED_BITS or (groupsize != -1 and groupsize < 1):
         raise FormatError(f"{path}: bad bits {bits} or groupsize {groupsize}")
     if not isinstance(attrs.get("layers"), dict) or "report" not in attrs:
@@ -255,7 +250,7 @@ def load_checkpoint(path) -> QuantizedCheckpoint:
         where = f"{path}: layer {name!r}"
         layers[name] = packed_from_tensors(
             tensors, name, bits, groupsize,
-            _int_attr(meta, "in_features", where),
-            _int_attr(meta, "out_features", where),
+            typed_attr(meta, "in_features", int, where),
+            typed_attr(meta, "out_features", int, where),
         )
     return QuantizedCheckpoint(layers, attrs["report"])

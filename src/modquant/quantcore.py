@@ -20,8 +20,11 @@ from .tensorio import check_matrix
 
 SCALE_FLOOR = 1e-8
 SUPPORTED_BITS = (2, 4, 8)
-# Rows per lazy-update block of the GPTQ sweep.
+# Rows per lazy-update block of the GPTQ sweep, and per sub-block inside it.
 GPTQ_BLOCK = 128
+GPTQ_SUB_BLOCK = 16
+# Triangular blocks up to this size are inverted directly.
+TRI_INV_LEAF = 64
 
 
 @dataclass(frozen=True)
@@ -135,7 +138,9 @@ def dequantize_matrix(q: QuantizedMatrix) -> np.ndarray:
     return ((q.qint - z) * s).astype(np.float32)
 
 
-def gptq_quantize(W: np.ndarray, H: np.ndarray, cfg: QuantConfig) -> QuantizedMatrix:
+def gptq_quantize(
+    W: np.ndarray, H: np.ndarray, cfg: QuantConfig, *, factor: np.ndarray | None = None
+) -> QuantizedMatrix:
     """Sequential Hessian-weighted quantization with error compensation.
 
     Input rows are processed in natural order against group parameters
@@ -143,19 +148,30 @@ def gptq_quantize(W: np.ndarray, H: np.ndarray, cfg: QuantConfig) -> QuantizedMa
     propagated into rows > i through the upper Cholesky factor of H^-1,
     the step that lets later rows absorb earlier rounding error.
 
-    The propagation is lazy (GPTQ's batch update): rows are swept in blocks
-    of GPTQ_BLOCK, each row's residual updates only the rows left in its
-    block, and the block's residuals reach the rows below in one GEMM.
+    The propagation is lazy (GPTQ's batch update) on two levels: rows are
+    swept in blocks of GPTQ_BLOCK split into sub-blocks of GPTQ_SUB_BLOCK,
+    each row's residual updates only the rows left in its sub-block, a
+    finished sub-block's residuals reach the rest of its block in one GEMM,
+    and a finished block's residuals reach the rows below in one GEMM.
+
+    `factor` is `inverse_hessian_factor(H)` when the caller already has it,
+    e.g. for several matrices that share one Hessian.
     """
     W = check_matrix(W)
-    H = np.asarray(H, dtype=np.float64)
     n_rows, n_cols = W.shape
-    if H.shape != (n_rows, n_rows):
+    if np.shape(H) != (n_rows, n_rows):
         raise InvariantError(
-            f"Hessian shape {H.shape} does not match weight rows {n_rows}"
+            f"Hessian shape {np.shape(H)} does not match weight rows {n_rows}"
         )
+    if factor is None:
+        u = inverse_hessian_factor(H)
+    elif np.shape(factor) != (n_rows, n_rows):
+        raise InvariantError(
+            f"factor shape {np.shape(factor)} does not match weight rows {n_rows}"
+        )
+    else:
+        u = np.asarray(factor, dtype=np.float64)
     params = compute_group_params(W, cfg)
-    u = inverse_hessian_factor(H)
 
     work = W.astype(np.float64)
     qint = np.empty((n_rows, n_cols), dtype=np.int32)
@@ -166,15 +182,19 @@ def gptq_quantize(W: np.ndarray, H: np.ndarray, cfg: QuantConfig) -> QuantizedMa
     for b0 in range(0, n_rows, GPTQ_BLOCK):
         b1 = min(b0 + GPTQ_BLOCK, n_rows)
         errs = np.empty((b1 - b0, n_cols))
-        for i in range(b0, b1):
-            g = g_idx[i]
-            s, z = scales[g], zeros[g]
-            q = np.clip(np.round(work[i] / s) + z, 0, maxq)
-            qint[i] = q.astype(np.int32)
-            err = (work[i] - (q - z) * s) / u[i, i]
-            errs[i - b0] = err
-            if i + 1 < b1:
-                work[i + 1 : b1] -= np.outer(u[i, i + 1 : b1], err)
+        for s0 in range(b0, b1, GPTQ_SUB_BLOCK):
+            s1 = min(s0 + GPTQ_SUB_BLOCK, b1)
+            for i in range(s0, s1):
+                g = g_idx[i]
+                s, z = scales[g], zeros[g]
+                q = np.clip(np.round(work[i] / s) + z, 0, maxq)
+                qint[i] = q.astype(np.int32)
+                err = (work[i] - (q - z) * s) / u[i, i]
+                errs[i - b0] = err
+                if i + 1 < s1:
+                    work[i + 1 : s1] -= np.outer(u[i, i + 1 : s1], err)
+            if s1 < b1:
+                work[s1:b1] -= u[s0:s1, s1:b1].T @ errs[s0 - b0 : s1 - b0]
         if b1 < n_rows:
             work[b1:] -= u[b0:b1, b1:].T @ errs
     return QuantizedMatrix(qint, params, cfg.bits)
@@ -184,17 +204,37 @@ def inverse_hessian_factor(H: np.ndarray) -> np.ndarray:
     """Upper-triangular U with U^T U = H^-1.
 
     With J the row/column flip, J H J = L L^T gives H = R R^T for the upper
-    triangular R = J L J, so U = R^-1: one Cholesky and one triangular
-    inverse. Pass H in f64 so the row feedback stays accurate for
-    ill-conditioned H. A non-positive-definite H raises NumericError.
+    triangular R = J L J, so U = R^-1: one Cholesky (in f64, so the row
+    feedback stays accurate for ill-conditioned H) and one triangular
+    inverse. A non-positive-definite H raises NumericError.
     """
+    H = np.asarray(H, dtype=np.float64)
     try:
         low = np.linalg.cholesky(H[::-1, ::-1])
     except np.linalg.LinAlgError as exc:
         raise NumericError(
             f"Cholesky failed; increase damping: {exc}"
         ) from exc
-    return np.linalg.inv(low[::-1, ::-1])
+    return _upper_triangular_inverse(low[::-1, ::-1])
+
+
+def _upper_triangular_inverse(r: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular upper-triangular matrix, exactly zero below
+    the diagonal.
+
+    [[A, B], [0, C]]^-1 = [[A^-1, -(A^-1 B) C^-1], [0, C^-1]]: the two
+    diagonal halves recursively, the corner in two GEMMs.
+    """
+    n = r.shape[0]
+    if n <= TRI_INV_LEAF:
+        return np.triu(np.linalg.inv(r))
+    h = n // 2
+    a_inv = _upper_triangular_inverse(r[:h, :h])
+    c_inv = _upper_triangular_inverse(r[h:, h:])
+    return np.block([
+        [a_inv, -(a_inv @ r[:h, h:]) @ c_inv],
+        [np.zeros((n - h, h)), c_inv],
+    ])
 
 
 def proxy_loss(W: np.ndarray, q: QuantizedMatrix, H: np.ndarray) -> float:

@@ -17,6 +17,7 @@ tensors are 1-D or 2-D only.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from typing import Mapping
 
@@ -140,7 +141,7 @@ def _load(path):
             dtype = DTYPES[entry["dtype"]]
             shape = tuple(int(s) for s in entry["shape"])
             off, length = int(entry["offset"]), int(entry["length"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: bad manifest entry for {name!r}") from exc
         if len(shape) not in (1, 2) or min(shape) < 0 or off < 0 or length < 0:
             raise FormatError(
@@ -152,7 +153,7 @@ def _load(path):
                 f"{path}: tensor {name!r} extends past the payload "
                 f"({off}+{length} > {len(payload)})"
             )
-        expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        expected = math.prod(shape) * dtype.itemsize
         if expected != length:
             raise FormatError(
                 f"{path}: tensor {name!r} length {length} != shape bytes {expected}"
@@ -186,3 +187,26 @@ def read_container(path) -> dict[str, np.ndarray]:
 def load_container(path) -> tuple[dict[str, np.ndarray], dict]:
     """Like `read_container` but also returns the manifest attributes."""
     return _load(path)
+
+
+def typed_attr(meta, key: str, kind: type, where):
+    """`meta[key]` when `meta` is a map and the value's type is exactly
+    `kind` (so a bool is not an int); otherwise a FormatError."""
+    value = meta.get(key) if isinstance(meta, dict) else None
+    if type(value) is not kind:
+        raise FormatError(
+            f"{where}: attribute {key!r} must be a {kind.__name__}, got {value!r}"
+        )
+    return value
+
+
+def list_attr(meta, key: str, item_kind: type, where) -> list:
+    """`typed_attr(meta, key, list, where)` whose items are all of type
+    exactly `item_kind`; otherwise a FormatError."""
+    items = typed_attr(meta, key, list, where)
+    if any(type(v) is not item_kind for v in items):
+        raise FormatError(
+            f"{where}: attribute {key!r} must list {item_kind.__name__} values, "
+            f"got {items!r}"
+        )
+    return items

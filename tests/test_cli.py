@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from modquant import load_checkpoint, load_container, read_container
+from modquant import load_checkpoint, load_container, read_container, write_container
 from modquant.cli import main
 
 FOUR_QUESTION_FIXTURE = [
@@ -70,6 +70,15 @@ def test_quantize_and_size(workspace, capsys):
     assert sizes["quantized_bytes"] == sum(
         e["bytes"]["total"] for e in report["layers"]
     )
+
+
+def test_size_model_without_embed_dims_is_format_error(workspace, capsys):
+    path = workspace / "model.bin"
+    tensors, attrs = load_container(path)
+    del attrs["embed_dims"]
+    write_container(path, tensors, attrs)
+    assert main(["size", "--model", str(path), "--bits", "4"]) == 3
+    assert "embed_dims" in capsys.readouterr().err
 
 
 def test_quantize_rejects_bits_3(workspace):

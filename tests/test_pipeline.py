@@ -12,12 +12,16 @@ from modquant import (
     dequantize_packed,
     estimate_packed_size,
     generate_model,
+    load_calibration,
     load_checkpoint,
     load_container,
+    load_model,
     pack_linear,
     quantize_model,
     rtn_quantize,
+    save_calibration,
     save_checkpoint,
+    save_model,
     seeded_random_matrix,
     size_report,
     size_report_model,
@@ -266,3 +270,58 @@ def test_load_checkpoint_rejects_malformed_layer(tmp_path, mutation):
     write_container(path, tensors, attrs)
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+def _layer(key, value=None):
+    return lambda t, a: _attr(key, value)(t, a["crossmodal_layers"][0])
+
+
+def _group(key, value=None):
+    return lambda t, a: _attr(key, value)(t, a["crossmodal_layers"][0]["groups"][0])
+
+
+# Mutations of a generate_model(1, 1, 8) container ("model") and of a
+# two-sample calibration container ("calib").
+LOADER_MUTATIONS = {
+    "model: missing vision_layers": ("model", _attr("vision_layers")),
+    "model: vision_layers not a list": ("model", _attr("vision_layers", "vision.0.proj")),
+    "model: missing crossmodal_layers": ("model", _attr("crossmodal_layers")),
+    "model: layer entry not a map": ("model", _attr("crossmodal_layers", [0])),
+    "model: missing layer index": ("model", _layer("index")),
+    "model: layer index as string": ("model", _layer("index", "0")),
+    "model: missing groups": ("model", _layer("groups")),
+    "model: missing group kind": ("model", _group("kind")),
+    "model: missing members": ("model", _group("members")),
+    "model: member not a string": ("model", _group("members", [1])),
+    "model: missing embed_dims": ("model", _attr("embed_dims")),
+    "model: one embed dim": ("model", _attr("embed_dims", [8])),
+    "model: float embed dims": ("model", _attr("embed_dims", [8.0, 8.0])),
+    "model: misc_params as string": ("model", _attr("misc_params", "0")),
+    "calib: missing num_samples": ("calib", _attr("num_samples")),
+    "calib: num_samples 0": ("calib", _attr("num_samples", 0)),
+    "calib: num_samples as string": ("calib", _attr("num_samples", "2")),
+    "calib: num_samples above the samples": ("calib", _attr("num_samples", 3)),
+    "calib: missing module_id": ("calib", _attr("module_id")),
+    "calib: module_id not a string": ("calib", _attr("module_id", 1)),
+    "calib: missing sample": ("calib", _drop("calib/samples/1")),
+    "calib: 1-D sample": ("calib", _tensor("calib/samples/0", np.ravel)),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(LOADER_MUTATIONS))
+def test_model_and_calibration_loaders_reject_malformed(tmp_path, mutation):
+    kind, mutate = LOADER_MUTATIONS[mutation]
+    path = tmp_path / "c.bin"
+    if kind == "model":
+        save_model(generate_model(1, 1, 8, seed=3), path)
+        load = load_model
+    else:
+        samples = [seeded_random_matrix(4, 8, k) for k in range(2)]
+        save_calibration(CalibrationSet("vision", samples), path)
+        load = load_calibration
+    load(path)
+    tensors, attrs = load_container(path)
+    mutate(tensors, attrs)
+    write_container(path, tensors, attrs)
+    with pytest.raises(FormatError):
+        load(path)

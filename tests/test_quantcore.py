@@ -4,20 +4,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modquant import (
+    CalibrationSet,
     InvariantError,
     NumericError,
     QuantConfig,
     compute_group_params,
     dequantize_matrix,
+    generate_model,
     gptq_quantize,
     group_index,
     hessian_from_samples,
+    pack_linear,
     proxy_loss,
+    quantize_model,
     rtn_quantize,
     seeded_random_matrix,
+    synthetic_activations,
 )
+from modquant.packfmt import packed_tensors
 from modquant.quantcore import (
-    GPTQ_BLOCK,
     SCALE_FLOOR,
     GroupQuantParams,
     QuantizedMatrix,
@@ -26,8 +31,6 @@ from modquant.quantcore import (
 
 
 def spd_hessian(dim, seed, rows=64):
-    from modquant import synthetic_activations
-
     return hessian_from_samples([synthetic_activations(rows, dim, seed)], dim, 0.01)
 
 
@@ -54,6 +57,12 @@ def row_loop_gptq(W, H, cfg):
         if i + 1 < n_rows:
             work[i + 1 :] -= np.outer(u[i, i + 1 :], err)
     return QuantizedMatrix(qint, params, cfg.bits)
+
+
+def lu_inverse_hessian_factor(H):
+    """Reference U: a general (LU) inverse of the flipped Cholesky factor."""
+    low = np.linalg.cholesky(np.asarray(H, dtype=np.float64)[::-1, ::-1])
+    return np.linalg.inv(low[::-1, ::-1])
 
 
 def einsum_proxy_loss(W, q, H):
@@ -258,13 +267,13 @@ class TestGptq:
             ok += lg <= lr + 1e-6 * abs(lr)
         assert ok >= 0.99 * total
 
-    @pytest.mark.parametrize("rows", [129, 200, 300, 384])
+    @pytest.mark.parametrize("rows", [17, 129, 145, 200, 250, 300, 384])
     @pytest.mark.parametrize("bits", [2, 4, 8])
     @pytest.mark.parametrize("gs", [16, 128, -1])
     def test_blocked_sweep_matches_row_loop(self, rows, bits, gs):
-        # rows > GPTQ_BLOCK and not all multiples of it, so residuals cross
-        # block boundaries through the GEMM update and the last block is short
-        assert rows > GPTQ_BLOCK
+        # Row counts, not all multiples of the 128-row block or the 16-row
+        # sub-block, so residuals cross both boundaries through the GEMM
+        # updates and the last block and sub-block are often short.
         cfg = QuantConfig(bits=bits, groupsize=gs)
         seed = rows * 10 + bits
         w = seeded_random_matrix(rows, 24, seed)
@@ -272,13 +281,30 @@ class TestGptq:
         q = gptq_quantize(w, h, cfg)
         assert q.qint.tobytes() == row_loop_gptq(w, h, cfg).qint.tobytes()
 
-    @pytest.mark.parametrize("dim", [1, 7, 128, 200])
+    @pytest.mark.parametrize("dim", [1, 7, 63, 64, 65, 128, 129, 200, 768])
     def test_inverse_hessian_factor(self, dim):
+        # dims around the directly inverted leaf size and with odd splits
         h = spd_hessian(dim, 70 + dim).astype(np.float64)
         u = inverse_hessian_factor(h)
         assert not np.tril(u, -1).any()
         assert (np.diag(u) > 0).all()
         np.testing.assert_allclose(u.T @ u @ h, np.eye(dim), atol=1e-8)
+        ref = lu_inverse_hessian_factor(h)
+        assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_precomputed_factor(self):
+        cfg = QuantConfig(bits=4, groupsize=16)
+        w = seeded_random_matrix(150, 20, 21)
+        h = spd_hessian(150, 22, rows=300)
+        q = gptq_quantize(w, h, cfg, factor=inverse_hessian_factor(h))
+        assert q.qint.tobytes() == gptq_quantize(w, h, cfg).qint.tobytes()
+
+    @pytest.mark.parametrize("shape", [(149, 149), (150, 151), (150,)])
+    def test_factor_shape_mismatch(self, shape):
+        h = spd_hessian(150, 22, rows=300)
+        with pytest.raises(InvariantError):
+            gptq_quantize(seeded_random_matrix(150, 20, 21), h, QuantConfig(),
+                          factor=np.ones(shape))
 
     def test_not_positive_definite_is_numeric_error(self):
         h = np.eye(8)
@@ -293,6 +319,28 @@ class TestGptq:
         assert (q.qint >= 0).all() and (q.qint <= 15).all()
         assert (q.params.scales > 0).all()
         assert np.array_equal(q.params.g_idx, group_index(24, 8))
+
+
+def test_quantize_model_matches_row_loop():
+    # The cross-modal members share one precomputed factor; every packed
+    # tensor must equal packing the row-loop oracle over the same Hessians.
+    dim, cfg = 160, QuantConfig(bits=4, groupsize=16)
+    model = generate_model(1, 1, dim, seed=31)
+    calib_v = CalibrationSet("vision", [synthetic_activations(200, dim, 32)])
+    calib_m = CalibrationSet("crossmodal", [synthetic_activations(200, dim, 33)])
+    ckpt = quantize_model(model, calib_v, calib_m, cfg)
+    hessians = {c.module_id: hessian_from_samples(c.samples, dim, cfg.damp_ratio)
+                for c in (calib_v, calib_m)}
+    assert len(ckpt.report["layers"]) == 9
+    for entry in ckpt.report["layers"]:
+        name = entry["name"]
+        h = hessians[entry["module"]]
+        ref = pack_linear(row_loop_gptq(model.weights[name], h, cfg))
+        got = packed_tensors(ckpt.layers[name], name)
+        want = packed_tensors(ref, name)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key].tobytes() == want[key].tobytes(), key
 
 
 class TestProxyLoss:

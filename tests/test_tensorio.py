@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modquant import (
     FormatError,
@@ -155,16 +157,58 @@ def _entry(shape, offset=0, length=None, dtype="f32"):
         ({"x": _entry([2, 2])}, {}, bytes(20)),
         ({"x": _entry([2, 2]), "y": _entry([2], offset=8)}, {}, bytes(16)),
         ({"x": _entry([1])}, [1], bytes(4)),
+        ({"x": _entry([2**70], length=4)}, {}, bytes(4)),
+        ({"x": _entry([float("inf")], length=4)}, {}, bytes(4)),
     ],
     ids=["negative-dim-and-length", "negative-dims", "negative-offset",
          "tensors-not-a-map", "entry-not-a-map", "3-d", "0-d", "gap",
-         "trailing-bytes", "overlap", "attrs-not-a-map"],
+         "trailing-bytes", "overlap", "attrs-not-a-map", "dim-over-int64",
+         "infinite-dim"],
 )
 def test_bad_manifest_is_format_error(tmp_path, tensors, attrs, payload):
     path = tmp_path / "c.bin"
     _write_raw(path, {"tensors": tensors, "attrs": attrs}, payload)
     with pytest.raises(FormatError):
         load_container(path)
+
+
+@pytest.fixture(scope="module")
+def small_container(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "c.bin"
+    write_container(
+        path,
+        {"w": seeded_random_matrix(3, 5, 7), "idx": np.arange(4, dtype=np.int32)},
+        {"bits": 4, "names": ["w", "idx"]},
+    )
+    return path, path.read_bytes()
+
+
+# (kind, position, bytes): positions are taken modulo the current length + 1.
+_EDITS = st.tuples(
+    st.sampled_from(["overwrite", "truncate", "insert"]),
+    st.integers(0, 1 << 16),
+    st.binary(min_size=1, max_size=8),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(edits=st.lists(_EDITS, min_size=1, max_size=4))
+def test_mutated_container_loads_or_is_format_error(small_container, edits):
+    path, blob = small_container
+    data = bytearray(blob)
+    for kind, pos, chunk in edits:
+        pos %= len(data) + 1
+        if kind == "overwrite":
+            data[pos : pos + len(chunk)] = chunk
+        elif kind == "truncate":
+            del data[pos:]
+        else:
+            data[pos:pos] = chunk
+    path.write_bytes(bytes(data))
+    try:
+        load_container(path)
+    except FormatError:
+        pass
 
 
 def test_unsupported_dtype_rejected(tmp_path):
