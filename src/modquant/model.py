@@ -164,7 +164,8 @@ def load_model(path) -> SyntheticModel:
     A missing or mistyped attribute (`vision_layers`, `crossmodal_layers`
     with each entry's `index` and `groups` and each group's `kind` and
     `members`, `embed_dims` as two integers, `misc_params` when present) is
-    a FormatError.
+    a FormatError, and so is a weight that is not 2-D or whose shape does
+    not chain as `_check_shapes` describes.
     """
     tensors, attrs = load_container(path)
     if attrs.get("schema") != "synthetic-model/1":
@@ -187,7 +188,39 @@ def load_model(path) -> SyntheticModel:
     misc_params = 0
     if "misc_params" in attrs:
         misc_params = typed_attr(attrs, "misc_params", int, path)
+    for name, t in tensors.items():
+        if t.ndim != 2:
+            raise FormatError(f"{path}: weight {name!r} is not 2-D: {list(t.shape)}")
     weights = {name: check_matrix(t) for name, t in tensors.items()}
-    return SyntheticModel(
+    model = SyntheticModel(
         vision_layers, layers, weights, tuple(embed_dims), misc_params
     )
+    _check_shapes(model, path)
+    return model
+
+
+def _check_shapes(model: SyntheticModel, path) -> None:
+    """FormatError unless the weight shapes chain as the forward passes and
+    the pipeline use them: the vision stack from D_V, each layer taking the
+    previous one's output; every cross-modal member reading D_M, and each
+    group's first member (the one forwarded) writing D_M."""
+    d_v, d_m = model.embed_dims
+
+    def expect(name, axis, want, what):
+        got = model.weights[name].shape[axis]
+        if got != want:
+            side = "in" if axis == 0 else "out"
+            raise FormatError(
+                f"{path}: weight {name!r} has {side}_features {got}, "
+                f"but {what} is {want}"
+            )
+
+    prev, what = d_v, "D_V"
+    for name in model.vision_layers:
+        expect(name, 0, prev, what)
+        prev, what = model.weights[name].shape[1], "the previous layer's out_features"
+    for layer in model.crossmodal_layers:
+        for group in layer.groups:
+            expect(group.members[0], 1, d_m, "D_M")
+            for name in group.members:
+                expect(name, 0, d_m, "D_M")

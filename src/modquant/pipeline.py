@@ -47,7 +47,7 @@ class QuantizedCheckpoint:
 def _hash_samples(samples: list[np.ndarray]) -> str:
     h = hashlib.sha256()
     for s in samples:
-        h.update(np.ascontiguousarray(s, dtype=np.float32).tobytes())
+        h.update(np.ascontiguousarray(s, dtype=np.float32))
     return h.hexdigest()
 
 
@@ -99,18 +99,21 @@ def quantize_model(
         order += 1
 
     # Vision phase: each layer's Hessian comes from the vision calibration
-    # propagated through the preceding original-weight layers.
-    samples = [s.copy() for s in calib_v.samples] if model.vision_layers else []
+    # propagated through the preceding original-weight layers. Samples are
+    # only read, so they are used in place.
+    samples = calib_v.samples
+    last = len(model.vision_layers) - 1
     for i, name in enumerate(model.vision_layers):
         w = model.weights[name]
         hessian = hessian_from_samples(samples, w.shape[0], cfg.damp_ratio)
         quantize_one(name, w, hessian, "vision", i, None, _hash_samples(samples))
-        samples = [(s @ w).astype(np.float32) for s in samples]
+        if i < last:
+            samples = [(s @ w).astype(np.float32) for s in samples]
 
     # Cross-modal phase: one shared calibration input (and Hessian, since
     # every member shares the layer's input-feature space) per layer, so
     # GPTQ factorizes that Hessian once for all members.
-    samples = [s.copy() for s in calib_m.samples] if model.crossmodal_layers else []
+    samples = calib_m.samples
     for layer in model.crossmodal_layers:
         calib_hash = _hash_samples(samples)
         hessian = hessian_from_samples(samples, d_m, cfg.damp_ratio)

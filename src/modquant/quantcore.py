@@ -132,10 +132,17 @@ def rtn_quantize(
 
 
 def dequantize_matrix(q: QuantizedMatrix) -> np.ndarray:
-    """out[i][o] = (qint[i][o] - zeros[g][o]) * scales[g][o], g = g_idx[i]."""
-    s = q.params.scales[q.params.g_idx]
-    z = q.params.zeros[q.params.g_idx]
-    return ((q.qint - z) * s).astype(np.float32)
+    """out[i][o] = (qint[i][o] - zeros[g][o]) * scales[g][o], g = g_idx[i].
+
+    q - z is formed in int32 and converted to f32 (exact, |q - z| < 2^8);
+    its f32 product with an f32 scale is the correctly rounded exact
+    product, so this equals the same formula evaluated in f64 and rounded
+    to f32.
+    """
+    g_idx = q.params.g_idx
+    out = (q.qint - q.params.zeros[g_idx]).astype(np.float32)
+    out *= q.params.scales[g_idx]
+    return out
 
 
 def gptq_quantize(
@@ -150,9 +157,14 @@ def gptq_quantize(
 
     The propagation is lazy (GPTQ's batch update) on two levels: rows are
     swept in blocks of GPTQ_BLOCK split into sub-blocks of GPTQ_SUB_BLOCK,
-    each row's residual updates only the rows left in its sub-block, a
-    finished sub-block's residuals reach the rest of its block in one GEMM,
-    and a finished block's residuals reach the rows below in one GEMM.
+    each row pulls the residuals of the earlier rows of its sub-block in
+    one GEMV just before it is snapped, a finished sub-block's residuals
+    reach the rest of its block in one GEMM, and a finished block's
+    residuals reach the rows below in one GEMM.
+
+    The snap clips round(w / s) to [-z, maxq - z] and adds z back, which
+    equals clip(round(w / s) + z, 0, maxq) exactly: every term is an
+    integer held in f64.
 
     `factor` is `inverse_hessian_factor(H)` when the caller already has it,
     e.g. for several matrices that share one Hessian.
@@ -177,22 +189,28 @@ def gptq_quantize(
     qint = np.empty((n_rows, n_cols), dtype=np.int32)
     scales = params.scales.astype(np.float64)
     zeros = params.zeros.astype(np.float64)
-    g_idx = params.g_idx
-    maxq = cfg.maxq
+    lo, hi = -zeros, cfg.maxq - zeros
+    g_idx = params.g_idx.tolist()
+    diag = np.diag(u).tolist()
+    qz = np.empty(n_cols)  # q - z of the row being snapped
     for b0 in range(0, n_rows, GPTQ_BLOCK):
         b1 = min(b0 + GPTQ_BLOCK, n_rows)
         errs = np.empty((b1 - b0, n_cols))
         for s0 in range(b0, b1, GPTQ_SUB_BLOCK):
             s1 = min(s0 + GPTQ_SUB_BLOCK, b1)
             for i in range(s0, s1):
+                row, err = work[i], errs[i - b0]
+                if i > s0:
+                    row -= u[s0:i, i] @ errs[s0 - b0 : i - b0]
                 g = g_idx[i]
-                s, z = scales[g], zeros[g]
-                q = np.clip(np.round(work[i] / s) + z, 0, maxq)
-                qint[i] = q.astype(np.int32)
-                err = (work[i] - (q - z) * s) / u[i, i]
-                errs[i - b0] = err
-                if i + 1 < s1:
-                    work[i + 1 : s1] -= np.outer(u[i, i + 1 : s1], err)
+                s = scales[g]
+                np.divide(row, s, out=qz)
+                np.round(qz, out=qz)
+                np.clip(qz, lo[g], hi[g], out=qz)
+                np.add(qz, zeros[g], out=qint[i], casting="unsafe")
+                np.multiply(qz, s, out=err)
+                np.subtract(row, err, out=err)
+                err /= diag[i]
             if s1 < b1:
                 work[s1:b1] -= u[s0:s1, s1:b1].T @ errs[s0 - b0 : s1 - b0]
         if b1 < n_rows:

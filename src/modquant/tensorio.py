@@ -12,12 +12,17 @@ The container layout is:
 Offsets in the manifest are relative to the start of the payload and must
 tile it without gaps or overlaps. Supported dtypes are f32, f16, u32, i32;
 tensors are 1-D or 2-D only.
+
+Loading reads the file once into one buffer whose payload starts on a
+PAYLOAD_ALIGN-byte boundary; every tensor is a writable, aligned view of
+its own bytes in that buffer, so tensors never share memory.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from typing import Mapping
 
@@ -27,6 +32,8 @@ from .errors import FormatError, InvariantError
 
 MAGIC = b"CMDQ"
 VERSION = 1
+# Loaded payloads start on this byte boundary (a cache line).
+PAYLOAD_ALIGN = 64
 
 _HEADER = struct.Struct("<4sIQ")
 
@@ -110,21 +117,34 @@ def write_container(
             fh.write(raw)
 
 
-def _load(path):
+def _read_body(path):
+    """The manifest length and the bytes after the header, read once into a
+    fresh buffer placed so that the payload starts on a PAYLOAD_ALIGN
+    boundary."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise FormatError(f"{path}: file shorter than the container header")
-    magic, version, manifest_len = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported container version {version}")
-    body = blob[_HEADER.size :]
-    if len(body) < manifest_len:
-        raise FormatError(f"{path}: truncated manifest")
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise FormatError(f"{path}: file shorter than the container header")
+        magic, version, manifest_len = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        if version != VERSION:
+            raise FormatError(f"{path}: unsupported container version {version}")
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size < manifest_len:
+            raise FormatError(f"{path}: truncated manifest")
+        raw = np.empty(size + PAYLOAD_ALIGN, dtype=np.uint8)
+        pad = -(raw.ctypes.data + manifest_len) % PAYLOAD_ALIGN
+        body = raw[pad : pad + size]
+        if fh.readinto(body) != size:
+            raise FormatError(f"{path}: file changed size while being read")
+    return manifest_len, body
+
+
+def _load(path):
+    manifest_len, body = _read_body(path)
     try:
-        manifest = json.loads(body[:manifest_len].decode("utf-8"))
+        manifest = json.loads(body[:manifest_len].tobytes().decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: malformed manifest: {exc}") from exc
     if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), dict):
@@ -159,9 +179,10 @@ def _load(path):
                 f"{path}: tensor {name!r} length {length} != shape bytes {expected}"
             )
         spans.append((off, off + length, name))
-        tensors[name] = np.frombuffer(
-            payload, dtype=dtype, count=expected // dtype.itemsize, offset=off
-        ).reshape(shape).copy()
+        t = payload[off : off + length].view(dtype).reshape(shape)
+        # Only a tensor placed off its dtype's alignment (e.g. after an
+        # odd-length f16 tensor) is copied.
+        tensors[name] = t if t.flags.aligned else t.copy()
     spans.sort()
     end = 0
     for start, stop, name in spans:

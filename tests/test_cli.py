@@ -81,6 +81,17 @@ def test_size_model_without_embed_dims_is_format_error(workspace, capsys):
     assert "embed_dims" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("reshape", [np.ravel, lambda w: w[:4]], ids=["1-D", "in cut"])
+def test_size_model_with_bad_weight_shape_is_format_error(workspace, capsys, reshape):
+    path = workspace / "model.bin"
+    tensors, attrs = load_container(path)
+    name = "crossmodal.0.mlp_down.down_proj"
+    tensors[name] = reshape(tensors[name])
+    write_container(path, tensors, attrs)
+    assert main(["size", "--model", str(path), "--bits", "4"]) == 3
+    assert name in capsys.readouterr().err
+
+
 def test_quantize_rejects_bits_3(workspace):
     rc = main(["quantize", "--model", str(workspace / "model.bin"),
                "--calib-v", str(workspace / "cv.bin"),

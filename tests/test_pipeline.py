@@ -325,3 +325,27 @@ def test_model_and_calibration_loaders_reject_malformed(tmp_path, mutation):
     write_container(path, tensors, attrs)
     with pytest.raises(FormatError):
         load(path)
+
+
+# Weight shapes of a generate_model(2, 1, 8) container that break the chain
+# the forward passes and quantize_model rely on; each breaks one rule.
+SHAPE_MUTATIONS = {
+    "1-D weight": _tensor("vision.1.proj", np.ravel),
+    "first vision layer in != D_V": _tensor("vision.0.proj", lambda x: x[:4]),
+    "vision in != previous out": _tensor("vision.0.proj", lambda x: x[:, :4]),
+    "member in != D_M": _tensor("crossmodal.0.attn_qkv.k_proj", lambda x: x[:4]),
+    "first member out != D_M": _tensor("crossmodal.0.attn_out.o_proj", lambda x: x[:, :4]),
+    "embed_dims disagree with weights": _attr("embed_dims", [8, 16]),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(SHAPE_MUTATIONS))
+def test_load_model_rejects_weight_shapes(tmp_path, mutation):
+    path = tmp_path / "m.bin"
+    save_model(generate_model(2, 1, 8, seed=3), path)
+    load_model(path)
+    tensors, attrs = load_container(path)
+    SHAPE_MUTATIONS[mutation](tensors, attrs)
+    write_container(path, tensors, attrs)
+    with pytest.raises(FormatError):
+        load_model(path)

@@ -273,13 +273,16 @@ class TestGptq:
     def test_blocked_sweep_matches_row_loop(self, rows, bits, gs):
         # Row counts, not all multiples of the 128-row block or the 16-row
         # sub-block, so residuals cross both boundaries through the GEMM
-        # updates and the last block and sub-block are often short.
-        cfg = QuantConfig(bits=bits, groupsize=gs)
+        # updates and the last block and sub-block are often short. Both
+        # zero-point schemes pin the snap's clip to [-z, maxq - z].
         seed = rows * 10 + bits
         w = seeded_random_matrix(rows, 24, seed)
         h = spd_hessian(rows, 50_000 + seed, rows=2 * rows)
-        q = gptq_quantize(w, h, cfg)
-        assert q.qint.tobytes() == row_loop_gptq(w, h, cfg).qint.tobytes()
+        for symmetric in (False, True):
+            cfg = QuantConfig(bits=bits, groupsize=gs, symmetric=symmetric)
+            q = gptq_quantize(w, h, cfg)
+            ref = row_loop_gptq(w, h, cfg)
+            assert q.qint.tobytes() == ref.qint.tobytes(), f"symmetric={symmetric}"
 
     @pytest.mark.parametrize("dim", [1, 7, 63, 64, 65, 128, 129, 200, 768])
     def test_inverse_hessian_factor(self, dim):
@@ -321,26 +324,51 @@ class TestGptq:
         assert np.array_equal(q.params.g_idx, group_index(24, 8))
 
 
-def test_quantize_model_matches_row_loop():
-    # The cross-modal members share one precomputed factor; every packed
-    # tensor must equal packing the row-loop oracle over the same Hessians.
-    dim, cfg = 160, QuantConfig(bits=4, groupsize=16)
-    model = generate_model(1, 1, dim, seed=31)
-    calib_v = CalibrationSet("vision", [synthetic_activations(200, dim, 32)])
-    calib_m = CalibrationSet("crossmodal", [synthetic_activations(200, dim, 33)])
+def assert_pipeline_matches_row_loop(vision, crossmodal, dim, seed, rows, samples):
+    """Every packed tensor of quantize_model equals packing the row-loop
+    oracle over Hessians propagated here, layer by layer, through the
+    original weights."""
+    cfg = QuantConfig(bits=4, groupsize=16)
+    model = generate_model(vision, crossmodal, dim, seed=seed)
+    calib_v = CalibrationSet("vision", [synthetic_activations(rows, dim, seed + 1 + k)
+                                        for k in range(samples)])
+    calib_m = CalibrationSet("crossmodal", [
+        synthetic_activations(rows, dim, seed + 1 + samples + k) for k in range(samples)])
     ckpt = quantize_model(model, calib_v, calib_m, cfg)
-    hessians = {c.module_id: hessian_from_samples(c.samples, dim, cfg.damp_ratio)
-                for c in (calib_v, calib_m)}
-    assert len(ckpt.report["layers"]) == 9
+
+    hessians = {}
+    xs = calib_v.samples
+    for i, name in enumerate(model.vision_layers):
+        hessians[("vision", i)] = hessian_from_samples(xs, dim, cfg.damp_ratio)
+        xs = [x @ model.weights[name] for x in xs]
+    xs = calib_m.samples
+    for layer in model.crossmodal_layers:
+        hessians[("crossmodal", layer.index)] = hessian_from_samples(
+            xs, dim, cfg.damp_ratio)
+        xs = [model.forward_crossmodal_layer(layer, x) for x in xs]
+
+    assert len(ckpt.report["layers"]) == vision + 8 * crossmodal
     for entry in ckpt.report["layers"]:
         name = entry["name"]
-        h = hessians[entry["module"]]
+        h = hessians[(entry["module"], entry["layer_index"])]
         ref = pack_linear(row_loop_gptq(model.weights[name], h, cfg))
         got = packed_tensors(ckpt.layers[name], name)
         want = packed_tensors(ref, name)
         assert got.keys() == want.keys()
         for key in want:
             assert got[key].tobytes() == want[key].tobytes(), key
+
+
+def test_quantize_model_matches_row_loop():
+    # The cross-modal members share one precomputed factor.
+    assert_pipeline_matches_row_loop(1, 1, dim=160, seed=31, rows=200, samples=1)
+
+
+def test_multi_layer_quantize_model_matches_row_loop():
+    # Each later layer's Hessian comes from activations propagated through
+    # the earlier layer, which pins that propagation and that the forward
+    # is skipped only after the last vision layer.
+    assert_pipeline_matches_row_loop(2, 2, dim=64, seed=41, rows=96, samples=2)
 
 
 class TestProxyLoss:

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from modquant import (
     seeded_random_matrix,
     write_container,
 )
+from modquant.tensorio import PAYLOAD_ALIGN
 
 
 def test_roundtrip_identity(tmp_path):
@@ -73,6 +75,46 @@ def test_independent_manifest_reparse(tmp_path):
     assert covered[0][0] == 0 and covered[-1][1] == len(payload)
     for (_, end), (start, _) in zip(covered, covered[1:]):
         assert start == end
+
+
+def test_loaded_tensors_are_writable_aligned_and_independent(tmp_path):
+    # "c" is an odd-length f16 tensor, so "d" after it starts 2 bytes off
+    # its f32 alignment in the payload and must still load aligned.
+    tensors = {
+        "a": seeded_random_matrix(3, 5, 1),
+        "b": np.arange(7, dtype=np.int32),
+        "c": np.arange(3, dtype=np.float16),
+        "d": seeded_random_matrix(2, 3, 2),
+        "e": np.arange(6, dtype=np.uint32).reshape(2, 3),
+    }
+    path = tmp_path / "c.bin"
+    write_container(path, tensors)
+    blob = path.read_bytes()
+    back, _ = load_container(path)
+    assert back["a"].ctypes.data % PAYLOAD_ALIGN == 0  # the payload's start
+    for name, t in back.items():
+        assert t.flags.writeable and t.flags.aligned, name
+    names = list(tensors)
+    for k, name in enumerate(names):
+        back[name].view(np.uint8).fill(0xA5)
+        assert (back[name].view(np.uint8) == 0xA5).all()
+        for other in names[k + 1 :]:
+            assert back[other].tobytes() == tensors[other].tobytes(), (name, other)
+    assert path.read_bytes() == blob
+
+
+def test_load_peak_memory_is_about_the_file_size(tmp_path):
+    path = tmp_path / "c.bin"
+    write_container(path, {f"w{i}": seeded_random_matrix(512, 512, i) for i in range(4)})
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        back, _ = load_container(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(back) == 4
+    assert peak <= 1.1 * size, (peak, size)
 
 
 def test_attrs_roundtrip(tmp_path):
