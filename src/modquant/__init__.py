@@ -20,8 +20,6 @@ from .kernel import (
     Tracer,
     autotune,
     quant_matmul,
-    reference_matmul,
-    with_span,
 )
 from .model import (
     GROUP_ORDER,
@@ -52,7 +50,6 @@ from .pipeline import (
     quantize_model,
     save_checkpoint,
     size_report,
-    size_report_model,
 )
 from .quantcore import (
     GroupQuantParams,
@@ -66,9 +63,7 @@ from .quantcore import (
     rtn_quantize,
 )
 from .tensorio import (
-    dense_matrix,
     load_container,
-    read_container,
     seeded_random_matrix,
     write_container,
 )

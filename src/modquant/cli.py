@@ -30,7 +30,6 @@ from .pipeline import (
     quantize_model,
     save_checkpoint,
     size_report,
-    size_report_model,
 )
 from .quantcore import QuantConfig, rtn_quantize
 from .tensorio import seeded_random_matrix
@@ -187,7 +186,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_size(args) -> int:
     model = load_model(args.model)
-    report = size_report_model(model, args.bits, args.groupsize)
+    shapes = [(n, *model.weights[n].shape) for n in model.matrix_names()]
+    report = size_report(shapes, args.bits, args.groupsize, model.misc_params)
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -198,6 +198,15 @@ def _cmd_eval_circular(args) -> int:
             records = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise FormatError(f"{args.records}: cannot parse records: {exc}") from exc
+    if not isinstance(records, list) or not all(
+        isinstance(rec, dict) and isinstance(rec.get("passes"), list)
+        and all(isinstance(p, list) and len(p) == 2 for p in rec["passes"])
+        for rec in records
+    ):
+        raise FormatError(
+            f"{args.records}: records must be a list of objects, each with a "
+            "'passes' list of [prediction, answer] pairs"
+        )
     acc = circular_eval_accuracy(records)
     print(f"{acc:g}")
     return EXIT_OK

@@ -13,14 +13,14 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass
 from statistics import median
 
 import numpy as np
 
 from .errors import InvariantError
-from .packfmt import PackedLinear, lanes_per_word, unpack_weights, unpack_zeros
+from .packfmt import PackedLinear, lanes_per_word, unpack_weights
 from .tensorio import check_matrix, seeded_random_matrix
 
 _TILE_RANGE = (8, 256)
@@ -116,31 +116,6 @@ class Tracer:
             json.dump(self.to_json(), fh, indent=2)
 
 
-def with_span(label: str, thunk, tracer: Tracer | None = None,
-              parent: int | None = None):
-    """Run `thunk` bracketed by a span; returns (result, TimingSpan)."""
-    tracer = tracer or Tracer()
-    with tracer.span(label, parent) as span:
-        result = thunk()
-    return result, span
-
-
-def reference_matmul(
-    A: np.ndarray, W: np.ndarray, bias: np.ndarray | None = None
-) -> np.ndarray:
-    """Deterministic k-outer f32 product: out += A[:, k] (x) W[k, :]."""
-    A = check_matrix(A)
-    W = check_matrix(W)
-    if A.shape[1] != W.shape[0]:
-        raise InvariantError(f"shape mismatch: {A.shape} x {W.shape}")
-    out = np.zeros((A.shape[0], W.shape[1]), dtype=np.float32)
-    for k in range(A.shape[1]):
-        out += A[:, k : k + 1] * W[k : k + 1, :]
-    if bias is not None:
-        out += np.asarray(bias, dtype=np.float32)
-    return out
-
-
 def _dequant_slab(layer: PackedLinear, k0: int, k1: int, d0: int, d1: int,
                   zeros: np.ndarray, scales: np.ndarray) -> np.ndarray:
     f_int = lanes_per_word(layer.bits)
@@ -178,8 +153,6 @@ def quant_matmul(
     scales = layer.scales.astype(np.float32)
     out = np.zeros((m, d), dtype=np.float32)
 
-    root = tracer.open("forward") if tracer else None
-
     tiles = [
         (m0, min(m0 + cfg.block_m, m), d0, min(d0 + cfg.block_d, d))
         for m0 in range(0, m, cfg.block_m)
@@ -189,40 +162,28 @@ def quant_matmul(
     def run_tile(tile):
         m0, m1, d0, d1 = tile
         local = Tracer(tracer._clock) if tracer else None
-        tspan = local.open("tile") if local else None
-        acc = np.zeros((m1 - m0, d1 - d0), dtype=np.float32)
-        for k0 in range(0, k, cfg.block_k):
-            k1 = min(k0 + cfg.block_k, k)
-            if local:
-                with local.span("dequant", tspan.span_id):
+        with local.span("tile") if local else nullcontext() as tspan:
+            acc = np.zeros((m1 - m0, d1 - d0), dtype=np.float32)
+            for k0 in range(0, k, cfg.block_k):
+                k1 = min(k0 + cfg.block_k, k)
+                with local.span("dequant", tspan.span_id) if local else nullcontext():
                     b_tile = _dequant_slab(layer, k0, k1, d0, d1, zeros, scales)
-            else:
-                b_tile = _dequant_slab(layer, k0, k1, d0, d1, zeros, scales)
-            acc += A[m0:m1, k0:k1] @ b_tile
-        out[m0:m1, d0:d1] = acc
-        if local:
-            local.close(tspan)
+                acc += A[m0:m1, k0:k1] @ b_tile
+            out[m0:m1, d0:d1] = acc
         return local.spans if local else []
 
-    if cfg.workers > 1 and len(tiles) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            worker_spans = list(pool.map(run_tile, tiles))
-    else:
-        worker_spans = [run_tile(t) for t in tiles]
-
-    if tracer:
-        for spans in worker_spans:
-            tracer.merge(spans, root.span_id)
-
-    if layer.bias is not None:
-        if tracer:
-            with tracer.span("bias_add", root.span_id):
-                out += layer.bias
+    with tracer.span("forward") if tracer else nullcontext() as root:
+        if cfg.workers > 1 and len(tiles) > 1:
+            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+                worker_spans = list(pool.map(run_tile, tiles))
         else:
-            out += layer.bias
-
-    if tracer:
-        tracer.close(root)
+            worker_spans = [run_tile(t) for t in tiles]
+        if tracer:
+            for spans in worker_spans:
+                tracer.merge(spans, root.span_id)
+        if layer.bias is not None:
+            with tracer.span("bias_add", root.span_id) if tracer else nullcontext():
+                out += layer.bias
     return out
 
 

@@ -8,7 +8,7 @@ attention output, MLP gate/up, MLP down).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,14 +67,18 @@ class SyntheticModel:
     misc_params: int = 0
 
     def __post_init__(self):
-        names = list(self.vision_layers) + [
-            m for layer in self.crossmodal_layers for g in layer.groups for m in g.members
-        ]
+        names = self.matrix_names()
         if len(set(names)) != len(names):
             raise InvariantError("weight matrix names must be unique")
         missing = [n for n in names if n not in self.weights]
         if missing:
             raise InvariantError(f"weights missing for {missing}")
+
+    def matrix_names(self) -> list[str]:
+        """Every quantized weight matrix, vision layers first."""
+        return list(self.vision_layers) + [
+            m for layer in self.crossmodal_layers for g in layer.groups for m in g.members
+        ]
 
     def forward_vision(self, x: np.ndarray) -> np.ndarray:
         """Propagate activations through the full vision stack."""

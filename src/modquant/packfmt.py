@@ -8,12 +8,18 @@ value = (word >> (lane * N)) & (2^N - 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, InvariantError
-from .quantcore import SUPPORTED_BITS, QuantizedMatrix, dequantize_matrix
+from .quantcore import (
+    SUPPORTED_BITS,
+    GroupQuantParams,
+    QuantizedMatrix,
+    dequantize_matrix,
+)
 
 
 def lanes_per_word(bits: int) -> int:
@@ -79,24 +85,18 @@ def pack_zeros(zeros: np.ndarray, bits: int) -> np.ndarray:
 
 def unpack_zeros(qzeros: np.ndarray, bits: int, out_cols: int) -> np.ndarray:
     """Inverse of pack_zeros, truncated back to `out_cols` columns."""
-    f_int = lanes_per_word(bits)
     w = np.asarray(qzeros, dtype=np.uint32)
-    mask = np.uint32((1 << bits) - 1)
-    shifts = (bits * np.arange(f_int, dtype=np.uint32)).reshape(1, 1, f_int)
-    lanes = (w[:, :, None] >> shifts) & mask
-    full = lanes.reshape(w.shape[0], w.shape[1] * f_int)
-    if out_cols > full.shape[1]:
+    if out_cols > w.shape[1] * lanes_per_word(bits):
         raise InvariantError("out_cols exceeds packed capacity")
-    return full[:, :out_cols].astype(np.int32)
+    return np.ascontiguousarray(unpack_weights(w.T, bits)[:out_cols].T)
 
 
 def unpack_value(word: int, lane: int, bits: int) -> int:
-    """Single-lane unpack: (word >> ((lane mod f_int) * N)) & (2^N - 1)."""
+    """Single-lane unpack: (word >> (lane * N)) & (2^N - 1), lane < f_int."""
     f_int = lanes_per_word(bits)
     if not 0 <= lane < f_int:
         raise InvariantError(f"lane {lane} out of range for f_int = {f_int}")
-    sh = (lane % f_int) * bits
-    return (int(word) >> sh) & ((1 << bits) - 1)
+    return (int(word) >> (lane * bits)) & ((1 << bits) - 1)
 
 
 @dataclass
@@ -124,12 +124,7 @@ class PackedLinear:
 
 
 def pack_linear(q: QuantizedMatrix, bias: np.ndarray | None = None) -> PackedLinear:
-    f_int = lanes_per_word(q.bits)
     n_rows, n_cols = q.shape
-    if n_rows % f_int != 0:
-        raise InvariantError(
-            f"in_features {n_rows} must be a multiple of f_int = {f_int}"
-        )
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float32).reshape(-1)
         if bias.shape[0] != n_cols:
@@ -150,17 +145,15 @@ def pack_linear(q: QuantizedMatrix, bias: np.ndarray | None = None) -> PackedLin
 
 def dequantize_packed(layer: PackedLinear) -> np.ndarray:
     """Full dense f32 weight matrix from the packed form (bias excluded)."""
-    qint = layer.unpack_qint()
-    zeros = layer.unpack_zero_codes()
-    scales = layer.scales.astype(np.float32)
-    g = layer.g_idx
-    return ((qint - zeros[g]) * scales[g]).astype(np.float32)
+    params = GroupQuantParams(layer.scales.astype(np.float32),
+                              layer.unpack_zero_codes(), layer.g_idx)
+    return dequantize_matrix(QuantizedMatrix(layer.unpack_qint(), params, layer.bits))
 
 
-def estimate_packed_size(
+def _packed_layout(
     in_features: int, out_features: int, bits: int, groupsize: int
-) -> dict:
-    """Analytic byte counts for one packed layer and its ratio vs f16."""
+) -> dict[str, tuple[type, tuple[int, ...]]]:
+    """Dtype and shape of each packed tensor of an in x out layer."""
     f_int = lanes_per_word(bits)
     if in_features % f_int != 0:
         raise InvariantError(
@@ -170,11 +163,22 @@ def estimate_packed_size(
     if gs < 1:
         raise InvariantError(f"bad groupsize {groupsize}")
     groups = -(-in_features // gs)
+    return {
+        "qweight": (np.uint32, (in_features // f_int, out_features)),
+        "scales": (np.float16, (groups, out_features)),
+        "qzeros": (np.uint32, (groups, -(-out_features // f_int))),
+        "g_idx": (np.int32, (in_features,)),
+    }
+
+
+def estimate_packed_size(
+    in_features: int, out_features: int, bits: int, groupsize: int
+) -> dict:
+    """Analytic byte counts for one packed layer and its ratio vs f16."""
+    layout = _packed_layout(in_features, out_features, bits, groupsize)
     sizes = {
-        "qweight": (in_features // f_int) * out_features * 4,
-        "scales": groups * out_features * 2,
-        "qzeros": groups * (-(-out_features * bits // 32)) * 4,
-        "g_idx": in_features * 4,
+        name: math.prod(shape) * np.dtype(dtype).itemsize
+        for name, (dtype, shape) in layout.items()
     }
     sizes["total"] = sum(sizes.values())
     sizes["ratio_vs_f16"] = sizes["total"] / (in_features * out_features * 2)
@@ -210,13 +214,8 @@ def packed_from_tensors(
             f"layer {prefix!r}: ({in_features}, {out_features}) is not a "
             f"positive shape with in_features a multiple of f_int = {f_int}"
         )
-    gs = in_features if groupsize == -1 else groupsize
-    groups = -(-in_features // gs)
     expected = {
-        "qweight": (np.uint32, (in_features // f_int, out_features)),
-        "scales": (np.float16, (groups, out_features)),
-        "qzeros": (np.uint32, (groups, -(-out_features // f_int))),
-        "g_idx": (np.int32, (in_features,)),
+        **_packed_layout(in_features, out_features, bits, groupsize),
         "bias": (np.float32, (out_features,)),
     }
     found = {}
@@ -229,6 +228,7 @@ def packed_from_tensors(
                 f"layer {prefix!r}: {name} is {t.dtype} {list(t.shape)}, "
                 f"expected {np.dtype(dtype)} {list(shape)}"
             )
+    groups = found["scales"].shape[0]
     if found["g_idx"].min() < 0 or found["g_idx"].max() >= groups:
         raise FormatError(
             f"layer {prefix!r}: g_idx values must lie in [0, {groups})"

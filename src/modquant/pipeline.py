@@ -17,7 +17,7 @@ import numpy as np
 
 from .calibration import CalibrationSet, hessian_from_samples
 from .errors import FormatError, InvariantError
-from .model import GROUP_ORDER, SyntheticModel
+from .model import SyntheticModel
 from .packfmt import (
     PackedLinear,
     estimate_packed_size,
@@ -72,11 +72,9 @@ def quantize_model(
 
     layers: dict[str, PackedLinear] = {}
     entries = []
-    order = 0
 
     def quantize_one(name, weight, hessian, module, layer_idx, group, calib_hash,
                      factor=None):
-        nonlocal order
         if method == "gptq":
             q = gptq_quantize(weight, hessian, cfg, factor=factor)
         else:
@@ -87,7 +85,7 @@ def quantize_model(
             "module": module,
             "layer_index": layer_idx,
             "group": group,
-            "order_index": order,
+            "order_index": len(entries),
             "in_features": int(weight.shape[0]),
             "out_features": int(weight.shape[1]),
             "proxy_loss": proxy_loss(weight, q, hessian),
@@ -96,7 +94,6 @@ def quantize_model(
                 weight.shape[0], weight.shape[1], cfg.bits, cfg.groupsize
             ),
         })
-        order += 1
 
     # Vision phase: each layer's Hessian comes from the vision calibration
     # propagated through the preceding original-weight layers. Samples are
@@ -156,47 +153,22 @@ def circular_eval_accuracy(records: list[dict]) -> float:
     return hits / len(records)
 
 
-def size_report(ckpt: QuantizedCheckpoint, f16_baseline: bool = True) -> dict:
-    """Per-layer and total storage, with the ratio against an all-f16 model."""
-    if not ckpt.layers:
-        raise InvariantError("empty checkpoint")
-    per_layer = {e["name"]: e["bytes"] for e in ckpt.report["layers"]}
-    quant_total = sum(b["total"] for b in per_layer.values())
-    weight_f16 = sum(
-        e["in_features"] * e["out_features"] * 2 for e in ckpt.report["layers"]
-    )
-    misc = int(ckpt.report.get("misc_params", 0))
-    misc_bytes = misc * 2  # unquantized parameters stay f16
-    total = quant_total + misc_bytes
-    baseline = weight_f16 + misc_bytes if f16_baseline else total
-    return {
-        "per_layer": per_layer,
-        "quantized_bytes": quant_total,
-        "misc_bytes": misc_bytes,
-        "total": total,
-        "baseline_f16": baseline,
-        "ratio": total / baseline,
-        "quantized_ratio": quant_total / weight_f16,
-    }
-
-
-def size_report_model(model: SyntheticModel, bits: int, groupsize: int) -> dict:
-    """Analytic size report for a model without quantizing it."""
-    names = list(model.vision_layers) + [
-        m for layer in model.crossmodal_layers for g in layer.groups for m in g.members
-    ]
-    if not names:
+def size_report(
+    shapes: list[tuple[str, int, int]], bits: int, groupsize: int,
+    misc_params: int = 0,
+) -> dict:
+    """Analytic storage of (name, in_features, out_features) matrices packed
+    at (bits, groupsize), plus `misc_params` unquantized f16 parameters, with
+    the ratio against an all-f16 model."""
+    if not shapes:
         raise InvariantError("model has no weight matrices")
-    per_layer = {}
-    quant_total = 0
-    weight_f16 = 0
-    for name in names:
-        w = model.weights[name]
-        sizes = estimate_packed_size(w.shape[0], w.shape[1], bits, groupsize)
-        per_layer[name] = sizes
-        quant_total += sizes["total"]
-        weight_f16 += w.shape[0] * w.shape[1] * 2
-    misc_bytes = model.misc_params * 2
+    per_layer = {
+        name: estimate_packed_size(n_in, n_out, bits, groupsize)
+        for name, n_in, n_out in shapes
+    }
+    quant_total = sum(b["total"] for b in per_layer.values())
+    weight_f16 = sum(n_in * n_out * 2 for _, n_in, n_out in shapes)
+    misc_bytes = misc_params * 2
     total = quant_total + misc_bytes
     baseline = weight_f16 + misc_bytes
     return {

@@ -11,6 +11,7 @@ inverse-Hessian update, minimizing the proxy loss trace(D^T H D) / O.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,10 @@ class QuantConfig:
             )
         if self.groupsize != -1 and self.groupsize < 1:
             raise InvariantError(f"groupsize must be positive or -1, got {self.groupsize}")
-        if self.damp_ratio <= 0:
-            raise InvariantError("damp_ratio must be > 0")
+        if not math.isfinite(self.damp_ratio) or self.damp_ratio <= 0:
+            raise InvariantError(
+                f"damp_ratio must be finite and > 0, got {self.damp_ratio}"
+            )
 
     @property
     def maxq(self) -> int:
@@ -84,10 +87,10 @@ def group_index(n_rows: int, groupsize: int) -> np.ndarray:
 def compute_group_params(W: np.ndarray, cfg: QuantConfig) -> GroupQuantParams:
     """Fit per-(group, column) scales and integer zero points.
 
-    Asymmetric: scale = (max - min) / maxq floored at SCALE_FLOOR,
-    zero = clamp(round(-min / scale), 0, maxq), with the range widened
-    to include 0 so a constant column lands exactly on a grid point.
-    Symmetric: scale = max|w| / (2^(N-1) - 1), zero = 2^(N-1).
+    Asymmetric: scale = (max - min) / maxq, zero = clamp(round(-min /
+    scale), 0, maxq), with the range widened to include 0 so a constant
+    column lands exactly on a grid point. Symmetric: scale = max|w| /
+    (2^(N-1) - 1), zero = 2^(N-1). Both floor the scale at SCALE_FLOOR.
     """
     W = check_matrix(W)
     n_rows, n_cols = W.shape
@@ -101,22 +104,16 @@ def compute_group_params(W: np.ndarray, cfg: QuantConfig) -> GroupQuantParams:
         block = W[g * gs : min((g + 1) * gs, n_rows)]
         if cfg.symmetric:
             amax = np.abs(block).max(axis=0)
-            s = amax / float((1 << (cfg.bits - 1)) - 1)
+            s = np.maximum(amax / float((1 << (cfg.bits - 1)) - 1), SCALE_FLOOR)
             z = np.full(n_cols, 1 << (cfg.bits - 1), dtype=np.int32)
         else:
             lo = np.minimum(block.min(axis=0), 0.0)
             hi = np.maximum(block.max(axis=0), 0.0)
-            s = (hi - lo) / float(cfg.maxq)
-            s = np.maximum(s, SCALE_FLOOR)
+            s = np.maximum((hi - lo) / float(cfg.maxq), SCALE_FLOOR)
             z = np.clip(np.round(-lo / s), 0, cfg.maxq).astype(np.int32)
-        scales[g] = np.maximum(s, SCALE_FLOOR).astype(np.float32)
+        scales[g] = s
         zeros[g] = z
     return GroupQuantParams(scales, zeros, g_idx)
-
-
-def _snap(W, scales_rows, zeros_rows, maxq):
-    q = np.round(W / scales_rows) + zeros_rows
-    return np.clip(q, 0, maxq).astype(np.int32)
 
 
 def rtn_quantize(
@@ -128,7 +125,8 @@ def rtn_quantize(
         params = compute_group_params(W, cfg)
     s = params.scales[params.g_idx]
     z = params.zeros[params.g_idx]
-    return QuantizedMatrix(_snap(W, s, z, cfg.maxq), params, cfg.bits)
+    qint = np.clip(np.round(W / s) + z, 0, cfg.maxq).astype(np.int32)
+    return QuantizedMatrix(qint, params, cfg.bits)
 
 
 def dequantize_matrix(q: QuantizedMatrix) -> np.ndarray:

@@ -46,15 +46,13 @@ DTYPES = {
 _DTYPE_NAMES = {v: k for k, v in DTYPES.items()}
 
 
-def dense_matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Build a validated row-major f32 matrix.
+def check_matrix(m) -> np.ndarray:
+    """Validate an array-like as a row-major f32 matrix.
 
-    Accepts anything array-like; raises InvariantError on a non-2-D shape,
-    zero dimensions, or non-finite values.
+    Raises InvariantError on a non-2-D shape, zero dimensions, or
+    non-finite values.
     """
-    m = np.ascontiguousarray(np.asarray(data, dtype=np.float32))
-    if rows is not None:
-        m = m.reshape(rows, cols)
+    m = np.ascontiguousarray(np.asarray(m, dtype=np.float32))
     if m.ndim != 2:
         raise InvariantError(f"expected a 2-D matrix, got shape {m.shape}")
     if m.shape[0] < 1 or m.shape[1] < 1:
@@ -62,11 +60,6 @@ def dense_matrix(data, rows: int | None = None, cols: int | None = None) -> np.n
     if not np.all(np.isfinite(m)):
         raise InvariantError("matrix contains NaN or Inf")
     return m
-
-
-def check_matrix(m: np.ndarray) -> np.ndarray:
-    """Validate an existing array against the DenseMatrix invariants."""
-    return dense_matrix(m)
 
 
 def seeded_random_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
@@ -141,7 +134,9 @@ def _read_body(path):
     return manifest_len, body
 
 
-def _load(path):
+def load_container(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Read back the tensor map and attributes written by `write_container`,
+    bit-exactly."""
     manifest_len, body = _read_body(path)
     try:
         manifest = json.loads(body[:manifest_len].tobytes().decode("utf-8"))
@@ -197,17 +192,6 @@ def _load(path):
             f"{path}: {len(payload) - end} payload bytes after the last tensor"
         )
     return tensors, attrs
-
-
-def read_container(path) -> dict[str, np.ndarray]:
-    """Read back the tensor map written by `write_container`, bit-exactly."""
-    tensors, _ = _load(path)
-    return tensors
-
-
-def load_container(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Like `read_container` but also returns the manifest attributes."""
-    return _load(path)
 
 
 def typed_attr(meta, key: str, kind: type, where):

@@ -23,20 +23,20 @@ from modquant import (
     gptq_quantize,
     hessian_from_samples,
     lanes_per_word,
+    load_container,
     pack_linear,
     pack_weights,
     proxy_loss,
     quant_matmul,
     quantize_model,
-    read_container,
-    reference_matmul,
     rtn_quantize,
     seeded_random_matrix,
-    size_report_model,
+    size_report,
     synthetic_activations,
     unpack_value,
     unpack_weights,
 )
+from oracles import reference_matmul
 
 
 class Criterion:
@@ -151,7 +151,8 @@ def test_criterion_5_compression_law():
         assert sizes["total"] == 8_732_672
         assert 0.25 <= sizes["ratio_vs_f16"] <= 0.275
         m = generate_model(1, 0, 4096, seed=5)
-        report = size_report_model(m, 4, 128)
+        shapes = [(n, *m.weights[n].shape) for n in m.matrix_names()]
+        report = size_report(shapes, 4, 128, m.misc_params)
         assert 0.25 <= report["ratio"] <= 0.275
         # analytic weight-payload bound for a 19B-parameter manifest at N=4
         layers = round(19e9 / (4096 * 4096))
@@ -285,8 +286,8 @@ def test_criterion_10_end_to_end_smoke(tmp_path):
                         "--bits", 4, "--configs", cfgs, "--runs", 3)
         assert "median_ns" in bench_out
         # output container re-reads bit-exactly
-        first = read_container(ckpt)
-        second = read_container(ckpt)
+        first = load_container(ckpt)[0]
+        second = load_container(ckpt)[0]
         assert set(first) == set(second)
         for name in first:
             assert first[name].tobytes() == second[name].tobytes()

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from modquant import load_checkpoint, load_container, read_container, write_container
+from modquant import load_checkpoint, load_container, write_container
 from modquant.cli import main
 
 FOUR_QUESTION_FIXTURE = [
@@ -41,6 +41,18 @@ def test_eval_circular_malformed_json(tmp_path):
     rec = tmp_path / "rec.json"
     rec.write_text("{not json")
     assert main(["eval-circular", "--records", str(rec)]) == 3
+
+
+@pytest.mark.parametrize(
+    "records",
+    [[1], [{"question_id": 1}], [{"passes": [[1, 2, 3]]}], {"a": 1}],
+    ids=["not an object", "no passes", "not a pair", "not a list"],
+)
+def test_eval_circular_malformed_records(tmp_path, capsys, records):
+    rec = tmp_path / "rec.json"
+    rec.write_text(json.dumps(records))
+    assert main(["eval-circular", "--records", str(rec)]) == 3
+    assert "passes" in capsys.readouterr().err
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -98,6 +110,18 @@ def test_quantize_rejects_bits_3(workspace):
                "--calib-m", str(workspace / "cm.bin"),
                "--bits", "3", "--out", str(workspace / "x.bin")])
     assert rc == 4
+
+
+@pytest.mark.parametrize("damp", ["nan", "inf"])
+def test_quantize_rejects_non_finite_damp_ratio(workspace, capsys, damp):
+    rc = main(["quantize", "--model", str(workspace / "model.bin"),
+               "--calib-v", str(workspace / "cv.bin"),
+               "--calib-m", str(workspace / "cm.bin"),
+               "--bits", "4", "--damp-ratio", damp,
+               "--out", str(workspace / "x.bin")])
+    assert rc == 4
+    assert "damp_ratio" in capsys.readouterr().err
+    assert not (workspace / "x.bin").exists()
 
 
 def test_quantize_missing_model(workspace):
@@ -167,8 +191,8 @@ def test_gen_model_deterministic(tmp_path):
 
 def test_model_container_rereads_bit_exactly(workspace):
     path = workspace / "model.bin"
-    first = read_container(path)
-    second = read_container(path)
+    first = load_container(path)[0]
+    second = load_container(path)[0]
     for name in first:
         assert first[name].tobytes() == second[name].tobytes()
     _, attrs = load_container(path)

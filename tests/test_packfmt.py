@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modquant import (
@@ -19,6 +19,7 @@ from modquant import (
     unpack_weights,
     unpack_zeros,
 )
+from modquant.packfmt import packed_from_tensors, packed_tensors
 
 
 def random_codes(rng, rows, cols, bits):
@@ -164,6 +165,38 @@ class TestPackLinear:
         q = rtn_quantize(seeded_random_matrix(10, 4, 1), QuantConfig(bits=4))
         with pytest.raises(InvariantError, match="f_int"):
             pack_linear(q)
+
+
+class TestLayoutAgreement:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bits=st.sampled_from([2, 4, 8]),
+        words=st.integers(1, 6),
+        n_out=st.integers(1, 40),
+        groupsize=st.sampled_from([-1, 1, 3, 5, 16, "over"]),
+        seed=st.integers(0, 10_000),
+    )
+    @example(bits=4, words=2, n_out=13, groupsize="over", seed=0)
+    @example(bits=2, words=1, n_out=3, groupsize=5, seed=1)
+    def test_writer_loader_and_estimate_agree(self, bits, words, n_out, groupsize, seed):
+        f_int = lanes_per_word(bits)
+        n_in = words * f_int
+        gs = n_in + 1 + seed % 7 if groupsize == "over" else groupsize
+        w = seeded_random_matrix(n_in, n_out, seed)
+        layer = pack_linear(rtn_quantize(w, QuantConfig(bits=bits, groupsize=gs)))
+        tensors = packed_tensors(layer, "l")
+        # FormatError unless every dtype and shape is the one the loader expects
+        back = packed_from_tensors(tensors, "l", bits, gs, n_in, n_out)
+        assert np.array_equal(dequantize_packed(back), dequantize_packed(layer))
+        estimate = estimate_packed_size(n_in, n_out, bits, gs)
+        assert sum(t.nbytes for t in tensors.values()) == estimate["total"]
+
+        capacity = layer.qzeros.shape[1] * f_int
+        padded = unpack_zeros(layer.qzeros, bits, capacity)
+        assert np.array_equal(padded[:, :n_out], layer.unpack_zero_codes())
+        assert not padded[:, n_out:].any()
+        with pytest.raises(InvariantError, match="capacity"):
+            unpack_zeros(layer.qzeros, bits, capacity + 1)
 
 
 class TestEstimatePackedSize:

@@ -24,7 +24,6 @@ from modquant import (
     save_model,
     seeded_random_matrix,
     size_report,
-    size_report_model,
     write_container,
 )
 from modquant.pipeline import QuantizedCheckpoint
@@ -177,27 +176,38 @@ class TestCircularEval:
             circular_eval_accuracy([{"question_id": 1, "passes": []}])
 
 
+def model_shapes(m):
+    return [(n, *m.weights[n].shape) for n in m.matrix_names()]
+
+
 class TestSizeReport:
     def test_single_layer_fixture(self):
         m = generate_model(1, 0, 4096, seed=2)
-        report = size_report_model(m, 4, 128)
+        report = size_report(model_shapes(m), 4, 128)
         assert report["per_layer"]["vision.0.proj"]["total"] == 8_732_672
         assert report["quantized_bytes"] == 8_732_672
 
     def test_checkpoint_matches_estimates(self, checkpoint):
-        report = size_report(checkpoint)
+        entries = checkpoint.report["layers"]
+        shapes = [(e["name"], e["in_features"], e["out_features"]) for e in entries]
+        report = size_report(shapes, 4, 16, checkpoint.report["misc_params"])
         expected = estimate_packed_size(DIM, DIM, 4, 16)["total"] * 18
         assert report["quantized_bytes"] == expected
         assert report["misc_bytes"] == 1000
+        assert report["per_layer"] == {e["name"]: e["bytes"] for e in entries}
+
+    def test_no_matrices_rejected(self):
+        with pytest.raises(InvariantError, match="no weight matrices"):
+            size_report([], 4, 128)
 
     def test_n8_ratio(self):
         m = generate_model(1, 0, 4096, seed=3)
-        report = size_report_model(m, 8, 128)
+        report = size_report(model_shapes(m), 8, 128)
         assert 0.50 <= report["quantized_ratio"] <= 0.55
 
     def test_n4_ratio_law(self):
         m = generate_model(1, 0, 4096, seed=4)
-        report = size_report_model(m, 4, 128)
+        report = size_report(model_shapes(m), 4, 128)
         assert 0.25 <= report["quantized_ratio"] <= 0.275
         assert 0.25 <= report["ratio"] <= 0.275  # misc = 0
 

@@ -81,6 +81,11 @@ class TestQuantConfig:
         with pytest.raises(InvariantError):
             QuantConfig(groupsize=0)
 
+    @pytest.mark.parametrize("damp", [0.0, -0.1, float("nan"), float("inf")])
+    def test_rejects_bad_damp_ratio(self, damp):
+        with pytest.raises(InvariantError, match="damp_ratio"):
+            QuantConfig(damp_ratio=damp)
+
 
 class TestGroupParams:
     def test_exact_grid_fit(self):

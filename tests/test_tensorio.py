@@ -10,19 +10,17 @@ from hypothesis import strategies as st
 from modquant import (
     FormatError,
     InvariantError,
-    dense_matrix,
     load_container,
-    read_container,
     seeded_random_matrix,
     write_container,
 )
-from modquant.tensorio import PAYLOAD_ALIGN
+from modquant.tensorio import PAYLOAD_ALIGN, check_matrix
 
 
 def test_roundtrip_identity(tmp_path):
     path = tmp_path / "c.bin"
     write_container(path, {"w": np.zeros((2, 2), dtype=np.float32)})
-    back = read_container(path)
+    back = load_container(path)[0]
     assert list(back) == ["w"]
     assert np.array_equal(back["w"], np.zeros((2, 2), dtype=np.float32))
 
@@ -30,7 +28,7 @@ def test_roundtrip_identity(tmp_path):
 def test_empty_map_is_valid(tmp_path):
     path = tmp_path / "c.bin"
     write_container(path, {})
-    assert read_container(path) == {}
+    assert load_container(path)[0] == {}
 
 
 def test_many_random_tensors_bit_exact(tmp_path):
@@ -43,14 +41,14 @@ def test_many_random_tensors_bit_exact(tmp_path):
     }
     path = tmp_path / "c.bin"
     write_container(path, tensors)
-    back = read_container(path)
+    back = load_container(path)[0]
     for name, t in tensors.items():
         assert back[name].tobytes() == t.tobytes()
 
 
 def test_independent_manifest_reparse(tmp_path):
     # Oracle: re-read the payload by hand from the manifest offsets and
-    # compare against what read_container materializes.
+    # compare against what load_container materializes.
     tensors = {
         "a": seeded_random_matrix(3, 5, 1),
         "b": np.arange(7, dtype=np.int32),
@@ -64,7 +62,7 @@ def test_independent_manifest_reparse(tmp_path):
     assert magic == b"CMDQ" and version == 1
     manifest = json.loads(blob[16 : 16 + mlen])
     payload = blob[16 + mlen :]
-    back = read_container(path)
+    back = load_container(path)[0]
     covered = []
     for name, entry in manifest["tensors"].items():
         raw = payload[entry["offset"] : entry["offset"] + entry["length"]]
@@ -131,7 +129,7 @@ def test_bad_magic(tmp_path):
     blob[:4] = b"XXXX"
     path.write_bytes(blob)
     with pytest.raises(FormatError, match="magic"):
-        read_container(path)
+        load_container(path)
 
 
 def test_version_mismatch(tmp_path):
@@ -141,7 +139,7 @@ def test_version_mismatch(tmp_path):
     blob[4] = 9
     path.write_bytes(blob)
     with pytest.raises(FormatError, match="version"):
-        read_container(path)
+        load_container(path)
 
 
 @pytest.mark.parametrize("cut", [1, 5, 17])
@@ -151,7 +149,7 @@ def test_truncated_payload(tmp_path, cut):
     blob = path.read_bytes()
     path.write_bytes(blob[:-cut])
     with pytest.raises(FormatError):
-        read_container(path)
+        load_container(path)
 
 
 def test_corrupt_manifest_fuzz(tmp_path):
@@ -167,7 +165,7 @@ def test_corrupt_manifest_fuzz(tmp_path):
         corrupted[pos] ^= 0xFF
         path.write_bytes(corrupted)
         try:
-            back = read_container(path)
+            back = load_container(path)[0]
         except FormatError:
             continue
         for t in back.values():
@@ -261,15 +259,11 @@ def test_unsupported_dtype_rejected(tmp_path):
 class TestDenseMatrix:
     def test_rejects_nan(self):
         with pytest.raises(InvariantError, match="NaN"):
-            dense_matrix([[np.nan, 1.0]])
+            check_matrix([[np.nan, 1.0]])
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(InvariantError):
-            dense_matrix(np.zeros(3))
-
-    def test_length_matches_shape(self):
-        m = dense_matrix([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], rows=2, cols=3)
-        assert m.shape == (2, 3)
+            check_matrix(np.zeros(3))
 
 
 class TestSeededRandomMatrix:
