@@ -4,10 +4,7 @@ __version__ = "0.1.0"
 
 from .calibration import (
     CalibrationSet,
-    HessianAccumulator,
-    accumulate_hessian,
     capture_calibration,
-    finalize_hessian,
     hessian_from_samples,
     load_calibration,
     save_calibration,

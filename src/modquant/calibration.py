@@ -9,6 +9,7 @@ opaque payloads and never enter the Hessian.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,55 +38,31 @@ class CalibrationSet:
         return self.samples[0].shape[1]
 
 
-class HessianAccumulator:
-    """Running 2 * X^T X over calibration rows of a fixed dimension."""
-
-    def __init__(self, dim: int):
-        if dim < 1:
-            raise InvariantError(f"hessian dimension must be >= 1, got {dim}")
-        self.dim = dim
-        self.matrix = np.zeros((dim, dim), dtype=np.float32)
-        self.sample_rows = 0
-
-
-def accumulate_hessian(acc: HessianAccumulator, sample: np.ndarray) -> HessianAccumulator:
-    """Add 2 * X^T X of one sample (rows are activation vectors)."""
-    x = check_matrix(sample)
-    if x.shape[1] != acc.dim:
-        raise InvariantError(
-            f"sample has {x.shape[1]} columns, accumulator expects {acc.dim}"
-        )
-    acc.matrix += 2.0 * (x.T @ x)
-    acc.sample_rows += x.shape[0]
-    return acc
-
-
-def finalize_hessian(acc: HessianAccumulator, damp_ratio: float) -> np.ndarray:
-    """Return H + lambda*I with lambda = damp_ratio * mean(diag(H)).
-
-    The result must be symmetric positive definite; a failed Cholesky
-    (e.g. damp_ratio 0 on a singular accumulation) raises NumericError.
-    """
-    if damp_ratio < 0:
-        raise InvariantError("damp_ratio must be >= 0")
-    h = (acc.matrix + acc.matrix.T) / 2.0
-    lam = damp_ratio * float(np.mean(np.diag(h)))
-    if lam <= 0 and damp_ratio > 0:
-        raise NumericError("all-zero Hessian: damping produced lambda = 0")
-    out = h + np.float32(lam) * np.eye(acc.dim, dtype=np.float32)
-    try:
-        np.linalg.cholesky(out.astype(np.float64))
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"damped Hessian is not positive definite: {exc}") from exc
-    return out
-
-
 def hessian_from_samples(samples, dim: int, damp_ratio: float) -> np.ndarray:
-    """Convenience: accumulate every sample then finalize."""
-    acc = HessianAccumulator(dim)
+    """Damped Hessian H + lambda*I, with H = 2 * X^T X summed over `samples`
+    and lambda = damp_ratio * mean(diag(H)).
+
+    The sum runs in f32 in sample order and is symmetrized before damping.
+    Definiteness is not checked here: GPTQ's factorization
+    (`inverse_hessian_factor`) raises NumericError on a damped Hessian it
+    cannot factorize.
+    """
+    if dim < 1:
+        raise InvariantError(f"hessian dimension must be >= 1, got {dim}")
+    if not math.isfinite(damp_ratio) or damp_ratio <= 0:
+        raise InvariantError(f"damp_ratio must be finite and > 0, got {damp_ratio}")
+    h = np.zeros((dim, dim), dtype=np.float32)
     for s in samples:
-        accumulate_hessian(acc, s)
-    return finalize_hessian(acc, damp_ratio)
+        x = check_matrix(s)
+        if x.shape[1] != dim:
+            raise InvariantError(f"sample has {x.shape[1]} columns, "
+                                 f"Hessian expects {dim}")
+        h += 2.0 * (x.T @ x)
+    h = (h + h.T) / 2.0
+    lam = damp_ratio * float(np.mean(np.diag(h)))
+    if lam <= 0:
+        raise NumericError("all-zero Hessian: damping produced lambda = 0")
+    return h + np.float32(lam) * np.eye(dim, dtype=np.float32)
 
 
 def synthetic_activations(rows: int, dim: int, seed: int, decay: float = 0.05) -> np.ndarray:
@@ -121,23 +98,16 @@ def capture_calibration(
         raise InvariantError("no calibration inputs given")
     inputs = [check_matrix(x) for x in inputs]
     d_v, d_m = model.embed_dims
+    for x in inputs:
+        if x.shape[1] != d_v:
+            raise InvariantError(f"input dim {x.shape[1]} != model input dim {d_v}")
     if module_selector == "vision":
         if not model.vision_layers:
             raise InvariantError("model has no vision module")
-        for x in inputs:
-            if x.shape[1] != d_v:
-                raise InvariantError(
-                    f"input dim {x.shape[1]} != vision embed dim {d_v}"
-                )
         samples = [x.copy() for x in inputs]
     elif module_selector == "crossmodal":
         if not model.crossmodal_layers:
             raise InvariantError("model has no cross-modal module")
-        for x in inputs:
-            if x.shape[1] != d_v:
-                raise InvariantError(
-                    f"input dim {x.shape[1]} != model input dim {d_v}"
-                )
         samples = [model.forward_vision(x) for x in inputs]
         if samples[0].shape[1] != d_m:
             raise InvariantError("vision stack output does not match D_M")
@@ -161,13 +131,13 @@ def save_calibration(calib: CalibrationSet, path) -> None:
 def load_calibration(path) -> CalibrationSet:
     """Read a set written by `save_calibration`.
 
-    A missing or mistyped `num_samples` (an integer >= 1) or `module_id`
+    A container of another schema, a missing or mistyped `num_samples` (an integer >= 1) or `module_id`
     (a string), and a missing or non-2-D `calib/samples/<k>` tensor for any
     k < num_samples, is a FormatError.
     """
     tensors, attrs = load_container(path)
     if attrs.get("schema") != "calibration/1":
-        raise InvariantError(f"{path}: not a calibration container")
+        raise FormatError(f"{path}: not a calibration container")
     n = typed_attr(attrs, "num_samples", int, path)
     if n < 1:
         raise FormatError(f"{path}: 'num_samples' must be >= 1, got {n}")

@@ -122,6 +122,8 @@ def _cmd_quantize(args) -> int:
 
 def _cmd_pack_roundtrip(args) -> int:
     f_int = lanes_per_word(args.bits)
+    if args.trials < 1:
+        raise InvariantError(f"trials must be >= 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     failures = 0
     for _ in range(args.trials):
@@ -169,8 +171,8 @@ def _cmd_bench(args) -> int:
     cfg = QuantConfig(bits=args.bits, groupsize=-1)
     w = seeded_random_matrix(args.k, args.d, args.seed + 1)
     layer = pack_linear(rtn_quantize(w, cfg))
-    best, table = autotune(args.m, args.k, args.d, layer, candidates,
-                           runs=args.runs, seed=args.seed)
+    best, table = autotune(args.m, layer, candidates, runs=args.runs,
+                           seed=args.seed)
     print(f"{'config':<50} median_ns")
     for c, t in table.items():
         mark = " *" if c == best else ""

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import InvariantError
 from .packfmt import PackedLinear, lanes_per_word, unpack_weights
+from .quantcore import dequantize_codes
 from .tensorio import check_matrix, seeded_random_matrix
 
 _TILE_RANGE = (8, 256)
@@ -120,14 +121,8 @@ def _dequant_slab(layer: PackedLinear, k0: int, k1: int, d0: int, d1: int,
                   zeros: np.ndarray, scales: np.ndarray) -> np.ndarray:
     f_int = lanes_per_word(layer.bits)
     words = layer.qweight[k0 // f_int : k1 // f_int, d0:d1]
-    qint = unpack_weights(words, layer.bits)
-    g = layer.g_idx[k0:k1]
-    qint -= zeros[g, d0:d1]
-    # |q - z| < 2^8 converts to f32 exactly, and its f64 product with an f32
-    # scale is exact, so one f32 product rounds as dequantize_packed does.
-    slab = qint.astype(np.float32)
-    slab *= scales[g, d0:d1]
-    return slab
+    return dequantize_codes(unpack_weights(words, layer.bits), layer.g_idx[k0:k1],
+                            zeros[:, d0:d1], scales[:, d0:d1])
 
 
 def quant_matmul(
@@ -189,15 +184,14 @@ def quant_matmul(
 
 def autotune(
     m: int,
-    k: int,
-    d: int,
     layer: PackedLinear,
     candidates: list[TileConfig],
     runs: int = 3,
     clock=time.perf_counter_ns,
     seed: int = 0,
 ) -> tuple[TileConfig, dict[TileConfig, float]]:
-    """Pick the candidate with the lowest median wall time.
+    """Pick the candidate with the lowest median wall time on a seeded
+    m x layer.in_features A.
 
     One warmup execution per candidate, then `runs` timed executions; the
     clock is injectable so selection is reproducible under test.
@@ -216,7 +210,7 @@ def autotune(
     if not valid:
         raise InvariantError("no candidate satisfies the tile invariants")
 
-    A = seeded_random_matrix(m, k, seed)
+    A = seeded_random_matrix(m, layer.in_features, seed)
     table: dict[TileConfig, float] = {}
     for c in valid:
         quant_matmul(A, layer, c)  # warmup

@@ -165,15 +165,16 @@ def save_model(model: SyntheticModel, path) -> None:
 def load_model(path) -> SyntheticModel:
     """Read a model written by `save_model`.
 
-    A missing or mistyped attribute (`vision_layers`, `crossmodal_layers`
-    with each entry's `index` and `groups` and each group's `kind` and
-    `members`, `embed_dims` as two integers, `misc_params` when present) is
-    a FormatError, and so is a weight that is not 2-D or whose shape does
-    not chain as `_check_shapes` describes.
+    A container of another schema, a missing or mistyped attribute
+    (`vision_layers`, `crossmodal_layers` with each entry's `index` and
+    `groups` and each group's `kind` and `members`, `embed_dims` as two
+    integers, `misc_params` when present) is a FormatError, and so is a
+    weight that is not 2-D or whose shape does not chain as `_check_shapes`
+    describes.
     """
     tensors, attrs = load_container(path)
     if attrs.get("schema") != "synthetic-model/1":
-        raise InvariantError(f"{path}: not a synthetic-model container")
+        raise FormatError(f"{path}: not a synthetic-model container")
     vision_layers = list_attr(attrs, "vision_layers", str, path)
     layers = []
     for entry in list_attr(attrs, "crossmodal_layers", dict, path):

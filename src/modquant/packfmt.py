@@ -16,9 +16,9 @@ import numpy as np
 from .errors import FormatError, InvariantError
 from .quantcore import (
     SUPPORTED_BITS,
-    GroupQuantParams,
     QuantizedMatrix,
-    dequantize_matrix,
+    dequantize_codes,
+    rows_per_group,
 )
 
 
@@ -145,9 +145,8 @@ def pack_linear(q: QuantizedMatrix, bias: np.ndarray | None = None) -> PackedLin
 
 def dequantize_packed(layer: PackedLinear) -> np.ndarray:
     """Full dense f32 weight matrix from the packed form (bias excluded)."""
-    params = GroupQuantParams(layer.scales.astype(np.float32),
-                              layer.unpack_zero_codes(), layer.g_idx)
-    return dequantize_matrix(QuantizedMatrix(layer.unpack_qint(), params, layer.bits))
+    return dequantize_codes(layer.unpack_qint(), layer.g_idx, layer.unpack_zero_codes(),
+                            layer.scales.astype(np.float32))
 
 
 def _packed_layout(
@@ -159,10 +158,7 @@ def _packed_layout(
         raise InvariantError(
             f"in_features {in_features} must be a multiple of f_int = {f_int}"
         )
-    gs = in_features if groupsize == -1 else groupsize
-    if gs < 1:
-        raise InvariantError(f"bad groupsize {groupsize}")
-    groups = -(-in_features // gs)
+    groups = -(-in_features // rows_per_group(in_features, groupsize))
     return {
         "qweight": (np.uint32, (in_features // f_int, out_features)),
         "scales": (np.float16, (groups, out_features)),

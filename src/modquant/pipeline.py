@@ -205,13 +205,13 @@ def save_checkpoint(ckpt: QuantizedCheckpoint, path) -> None:
 def load_checkpoint(path) -> QuantizedCheckpoint:
     """Read a checkpoint written by `save_checkpoint`.
 
-    A missing or mistyped attribute, and any layer tensor that is missing or
-    does not match the layer's shape (see `packed_from_tensors`), is a
-    FormatError.
+    A container of another schema, a missing or mistyped attribute, and any
+    layer tensor that is missing or does not match the layer's shape (see
+    `packed_from_tensors`), is a FormatError.
     """
     tensors, attrs = load_container(path)
     if attrs.get("schema") != "quantized-checkpoint/1":
-        raise InvariantError(f"{path}: not a quantized-checkpoint container")
+        raise FormatError(f"{path}: not a quantized-checkpoint container")
     bits = typed_attr(attrs, "bits", int, path)
     groupsize = typed_attr(attrs, "groupsize", int, path)
     if bits not in SUPPORTED_BITS or (groupsize != -1 and groupsize < 1):

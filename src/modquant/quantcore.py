@@ -51,19 +51,12 @@ class QuantConfig:
     def maxq(self) -> int:
         return (1 << self.bits) - 1
 
-    def rows_per_group(self, n_rows: int) -> int:
-        return n_rows if self.groupsize == -1 else self.groupsize
-
 
 @dataclass
 class GroupQuantParams:
     scales: np.ndarray  # (G, O) f32, strictly positive
     zeros: np.ndarray   # (G, O) int32 in [0, 2^N - 1]
     g_idx: np.ndarray   # (I,) int32, nondecreasing
-
-    @property
-    def num_groups(self) -> int:
-        return self.scales.shape[0]
 
 
 @dataclass
@@ -77,11 +70,18 @@ class QuantizedMatrix:
         return self.qint.shape
 
 
+def rows_per_group(n_rows: int, groupsize: int) -> int:
+    """Rows per group of an n_rows matrix (-1: one group), at least 1."""
+    gs = n_rows if groupsize == -1 else groupsize
+    if gs < 1:
+        raise InvariantError(f"groupsize {groupsize} gives {gs} rows per group")
+    return gs
+
+
 def group_index(n_rows: int, groupsize: int) -> np.ndarray:
-    """g_idx[i] = floor(i / groupsize); groupsize -1 means one group."""
-    if groupsize == -1:
-        groupsize = n_rows
-    return (np.arange(n_rows, dtype=np.int32) // groupsize).astype(np.int32)
+    """g_idx[i] = floor(i / rows_per_group(n_rows, groupsize))."""
+    gs = rows_per_group(n_rows, groupsize)
+    return (np.arange(n_rows, dtype=np.int32) // gs).astype(np.int32)
 
 
 def compute_group_params(W: np.ndarray, cfg: QuantConfig) -> GroupQuantParams:
@@ -94,7 +94,7 @@ def compute_group_params(W: np.ndarray, cfg: QuantConfig) -> GroupQuantParams:
     """
     W = check_matrix(W)
     n_rows, n_cols = W.shape
-    gs = cfg.rows_per_group(n_rows)
+    gs = rows_per_group(n_rows, cfg.groupsize)
     g_idx = group_index(n_rows, cfg.groupsize)
     n_groups = int(g_idx[-1]) + 1
 
@@ -129,18 +129,27 @@ def rtn_quantize(
     return QuantizedMatrix(qint, params, cfg.bits)
 
 
-def dequantize_matrix(q: QuantizedMatrix) -> np.ndarray:
-    """out[i][o] = (qint[i][o] - zeros[g][o]) * scales[g][o], g = g_idx[i].
+def dequantize_codes(
+    codes: np.ndarray, g_idx: np.ndarray, zeros: np.ndarray, scales: np.ndarray
+) -> np.ndarray:
+    """out[i][o] = (codes[i][o] - zeros[g][o]) * scales[g][o], g = g_idx[i],
+    in f32 from int32 codes, which it overwrites.
 
-    q - z is formed in int32 and converted to f32 (exact, |q - z| < 2^8);
-    its f32 product with an f32 scale is the correctly rounded exact
+    codes - zeros is formed in int32 and converted to f32 (exact, |q - z| <
+    2^8); its f32 product with an f32 scale is the correctly rounded exact
     product, so this equals the same formula evaluated in f64 and rounded
     to f32.
     """
-    g_idx = q.params.g_idx
-    out = (q.qint - q.params.zeros[g_idx]).astype(np.float32)
-    out *= q.params.scales[g_idx]
+    codes -= zeros[g_idx]
+    out = codes.astype(np.float32)
+    out *= scales[g_idx]
     return out
+
+
+def dequantize_matrix(q: QuantizedMatrix) -> np.ndarray:
+    """out[i][o] = (qint[i][o] - zeros[g][o]) * scales[g][o], g = g_idx[i]."""
+    p = q.params
+    return dequantize_codes(q.qint.copy(), p.g_idx, p.zeros, p.scales)
 
 
 def gptq_quantize(

@@ -205,11 +205,11 @@ def test_criterion_7_autotuner_contract():
             schedule = [t for c in (c1, c2, c3) for _ in range(3)
                         for t in (0, elapsed[c])]
             ticks = iter(schedule)
-            best, table = autotune(16, 64, 32, layer, [c1, c2, c3], runs=3,
+            best, table = autotune(16, layer, [c1, c2, c3], runs=3,
                                    clock=lambda: next(ticks))
             assert best == c2
             assert table == {c1: 10.0, c2: 5.0, c3: 7.0}
-        best, table = autotune(32, 64, 32, layer, [c1, c2, c3], runs=3)
+        best, table = autotune(32, layer, [c1, c2, c3], runs=3)
         assert table[best] == min(table.values())
 
 

@@ -3,59 +3,59 @@ import pytest
 
 from modquant import (
     CalibrationSet,
-    HessianAccumulator,
     InvariantError,
     NumericError,
-    accumulate_hessian,
     capture_calibration,
-    finalize_hessian,
     generate_model,
+    hessian_from_samples,
     load_calibration,
     save_calibration,
     seeded_random_matrix,
     vision_seq_len,
 )
+from modquant.quantcore import inverse_hessian_factor
 
 
-def make_acc(dim, samples):
-    acc = HessianAccumulator(dim)
-    for s in samples:
-        accumulate_hessian(acc, s)
-    return acc
+def damped(raw, damp_ratio=0.01):
+    """f64 oracle: raw + damp_ratio * mean(diag(raw)) * I."""
+    raw = np.asarray(raw, dtype=np.float64)
+    return raw + damp_ratio * np.mean(np.diag(raw)) * np.eye(raw.shape[0])
 
 
 class TestAccumulate:
     def test_single_row_fixture(self):
-        acc = make_acc(2, [np.array([[1.0, 0.0]], dtype=np.float32)])
-        assert np.allclose(acc.matrix, [[2.0, 0.0], [0.0, 0.0]])
-        assert acc.sample_rows == 1
+        h = hessian_from_samples([np.array([[1.0, 0.0]], dtype=np.float32)], 2, 0.01)
+        assert h.dtype == np.float32
+        assert np.allclose(h, [[2.01, 0.0], [0.0, 0.01]])
 
     def test_additivity(self):
         a = seeded_random_matrix(5, 4, 0)
         b = seeded_random_matrix(7, 4, 1)
-        split = make_acc(4, [a, b])
-        joined = make_acc(4, [np.vstack([a, b])])
-        assert np.allclose(split.matrix, joined.matrix, rtol=1e-5)
+        split = hessian_from_samples([a, b], 4, 0.01)
+        joined = hessian_from_samples([np.vstack([a, b])], 4, 0.01)
+        assert np.allclose(split, joined, rtol=1e-5)
 
     def test_dense_product_oracle(self):
         x = seeded_random_matrix(64, 8, 2)
-        acc = make_acc(8, [x])
-        assert np.allclose(acc.matrix, 2.0 * x.T @ x, rtol=1e-5)
-        assert acc.sample_rows == 64
+        h = hessian_from_samples([x], 8, 0.01)
+        x64 = x.astype(np.float64)
+        assert np.allclose(h, damped(2.0 * x64.T @ x64), rtol=1e-5)
 
     def test_order_independence(self):
         samples = [seeded_random_matrix(6, 5, s) for s in range(8)]
-        fwd = make_acc(5, samples)
-        rev = make_acc(5, samples[::-1])
-        assert np.allclose(fwd.matrix, rev.matrix, rtol=1e-5)
+        fwd = hessian_from_samples(samples, 5, 0.01)
+        rev = hessian_from_samples(samples[::-1], 5, 0.01)
+        assert np.allclose(fwd, rev, rtol=1e-5)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvariantError):
-            accumulate_hessian(HessianAccumulator(3), seeded_random_matrix(2, 4, 0))
+            hessian_from_samples([seeded_random_matrix(2, 4, 0)], 3, 0.01)
+        with pytest.raises(InvariantError):
+            hessian_from_samples([seeded_random_matrix(2, 4, 0)], 0, 0.01)
 
     def test_symmetry_and_psd_probes(self):
         x = seeded_random_matrix(30, 6, 3)
-        h = make_acc(6, [x]).matrix
+        h = hessian_from_samples([x], 6, 0.01)
         assert np.abs(h - h.T).max() <= 1e-6
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -65,30 +65,31 @@ class TestAccumulate:
 
 class TestFinalize:
     def test_diagonal_fixture(self):
-        acc = HessianAccumulator(3)
-        acc.matrix = 2.0 * np.eye(3, dtype=np.float32)
-        out = finalize_hessian(acc, 0.01)
+        # 2 * I^T I = 2I, damped by 0.01 * mean(diag) = 0.02
+        out = hessian_from_samples([np.eye(3, dtype=np.float32)], 3, 0.01)
         assert np.allclose(out, 2.02 * np.eye(3), rtol=1e-6)
 
     def test_rank1_becomes_factorizable(self):
-        acc = make_acc(4, [seeded_random_matrix(1, 4, 5)])
-        out = finalize_hessian(acc, 0.01)
-        np.linalg.cholesky(out.astype(np.float64))  # must not raise
+        out = hessian_from_samples([seeded_random_matrix(1, 4, 5)], 4, 0.01)
+        inverse_hessian_factor(out)  # must not raise
 
-    def test_no_damping_on_singular(self):
-        acc = make_acc(4, [seeded_random_matrix(1, 4, 5)])
-        with pytest.raises(NumericError):
-            finalize_hessian(acc, 0.0)
+    @pytest.mark.parametrize("damp_ratio", [0.0, -0.1, float("nan"), float("inf")])
+    def test_bad_damp_ratio_rejected(self, damp_ratio):
+        with pytest.raises(InvariantError, match="damp_ratio"):
+            hessian_from_samples([seeded_random_matrix(1, 4, 5)], 4, damp_ratio)
 
     def test_zero_hessian_rejected(self):
-        with pytest.raises(NumericError):
-            finalize_hessian(HessianAccumulator(3), 0.01)
+        with pytest.raises(NumericError, match="all-zero Hessian"):
+            hessian_from_samples([np.zeros((2, 3), dtype=np.float32)], 3, 0.01)
+        with pytest.raises(NumericError, match="all-zero Hessian"):
+            hessian_from_samples([], 3, 0.01)
 
     def test_subtracting_damping_recovers_raw(self):
-        acc = make_acc(5, [seeded_random_matrix(20, 5, 6)])
-        raw = (acc.matrix + acc.matrix.T) / 2.0
+        x = seeded_random_matrix(20, 5, 6)
+        acc = 2.0 * (x.T @ x)  # the f32 sum of one sample
+        raw = (acc + acc.T) / 2.0
         lam = 0.01 * float(np.mean(np.diag(raw)))
-        out = finalize_hessian(acc, 0.01)
+        out = hessian_from_samples([x], 5, 0.01)
         delta = out - raw
         # damping touches the diagonal only; off-diagonals stay bit-exact,
         # while (d + lam) - d on the diagonal carries f32 rounding at the

@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from modquant import load_checkpoint, load_container, write_container
+from modquant import (
+    CalibrationSet,
+    load_checkpoint,
+    load_container,
+    save_calibration,
+    write_container,
+)
 from modquant.cli import main
 
 FOUR_QUESTION_FIXTURE = [
@@ -142,9 +148,42 @@ def test_quantize_bad_container(workspace):
     assert rc == 3
 
 
+def test_quantize_model_as_calibration_is_format_error(workspace, capsys):
+    rc = main(["quantize", "--model", str(workspace / "model.bin"),
+               "--calib-v", str(workspace / "model.bin"),
+               "--calib-m", str(workspace / "cm.bin"),
+               "--bits", "4", "--out", str(workspace / "x.bin")])
+    assert rc == 3
+    assert "not a calibration container" in capsys.readouterr().err
+
+
+def test_size_calibration_as_model_is_format_error(workspace, capsys):
+    assert main(["size", "--model", str(workspace / "cv.bin"), "--bits", "4"]) == 3
+    assert "not a synthetic-model container" in capsys.readouterr().err
+
+
+def test_quantize_all_zero_calibration_is_numeric_error(workspace, capsys):
+    zeros = workspace / "zeros.bin"
+    save_calibration(CalibrationSet("crossmodal", [np.zeros((8, 32), np.float32)]), zeros)
+    rc = main(["quantize", "--model", str(workspace / "model.bin"),
+               "--calib-v", str(workspace / "cv.bin"),
+               "--calib-m", str(zeros),
+               "--bits", "4", "--out", str(workspace / "x.bin")])
+    assert rc == 5
+    assert "all-zero Hessian" in capsys.readouterr().err
+    assert not (workspace / "x.bin").exists()
+
+
 def test_pack_roundtrip_command(capsys):
     assert main(["pack-roundtrip", "--bits", "4", "--seed", "7"]) == 0
     assert "ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_pack_roundtrip_rejects_trials_below_one(capsys, trials):
+    assert main(["pack-roundtrip", "--bits", "4", "--trials", trials]) == 4
+    captured = capsys.readouterr()
+    assert "trials" in captured.err and "ok" not in captured.out
 
 
 def test_bench_with_trace(workspace, capsys):

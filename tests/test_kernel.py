@@ -287,7 +287,7 @@ class TestAutotune:
     def test_singleton(self):
         layer = packed_layer(32, 16, 17)
         only = TileConfig(8, 8, 8)
-        best, table = autotune(16, 32, 16, layer, [only], runs=3)
+        best, table = autotune(16, layer, [only], runs=3)
         assert best == only and set(table) == {only}
 
     def test_fake_clock_argmin(self):
@@ -302,7 +302,7 @@ class TestAutotune:
                 schedule += [0, elapsed[c]]
         ticks = iter(schedule)
 
-        best, table = autotune(8, 32, 16, layer, [c1, c2, c3], runs=3,
+        best, table = autotune(8, layer, [c1, c2, c3], runs=3,
                                clock=lambda: next(ticks))
         assert best == c2
         assert table == {c1: 10, c2: 5, c3: 7}
@@ -311,15 +311,15 @@ class TestAutotune:
         layer = packed_layer(256, 256, 19)
         cands = [TileConfig(8, 8, 8), TileConfig(64, 64, 64),
                  TileConfig(128, 128, 128)]
-        best, table = autotune(256, 256, 256, layer, cands, runs=3)
+        best, table = autotune(256, layer, cands, runs=3)
         assert table[best] == min(table.values())
 
     def test_empty_candidates(self):
         layer = packed_layer(16, 8, 20)
         with pytest.raises(InvariantError):
-            autotune(8, 16, 8, layer, [], runs=3)
+            autotune(8, layer, [], runs=3)
 
     def test_all_invalid_candidates(self):
         layer = packed_layer(16, 8, 21)
         with pytest.raises(InvariantError):
-            autotune(8, 16, 8, layer, [TileConfig(7, 8, 8)], runs=3)
+            autotune(8, layer, [TileConfig(7, 8, 8)], runs=3)

@@ -337,6 +337,17 @@ def test_model_and_calibration_loaders_reject_malformed(tmp_path, mutation):
         load(path)
 
 
+@pytest.mark.parametrize("load", [load_model, load_calibration, load_checkpoint],
+                         ids=["model", "calibration", "checkpoint"])
+def test_loaders_reject_another_kind_of_container(tmp_path, load):
+    model_path, calib_path = tmp_path / "m.bin", tmp_path / "c.bin"
+    save_model(generate_model(1, 1, 8, seed=3), model_path)
+    save_calibration(CalibrationSet("vision", [seeded_random_matrix(4, 8, 0)]), calib_path)
+    other = calib_path if load is load_model else model_path
+    with pytest.raises(FormatError, match="not a"):
+        load(other)
+
+
 # Weight shapes of a generate_model(2, 1, 8) container that break the chain
 # the forward passes and quantize_model rely on; each breaks one rule.
 SHAPE_MUTATIONS = {

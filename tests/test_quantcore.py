@@ -27,6 +27,7 @@ from modquant.quantcore import (
     GroupQuantParams,
     QuantizedMatrix,
     inverse_hessian_factor,
+    rows_per_group,
 )
 
 
@@ -115,13 +116,13 @@ class TestGroupParams:
     def test_group_count_and_g_idx(self):
         w = seeded_random_matrix(256, 4, 0)
         p = compute_group_params(w, QuantConfig(bits=4, groupsize=128))
-        assert p.num_groups == 2
+        assert p.scales.shape[0] == 2
         assert np.array_equal(p.g_idx, np.repeat([0, 1], 128))
 
     def test_short_last_group(self):
         w = seeded_random_matrix(10, 4, 1)
         p = compute_group_params(w, QuantConfig(bits=4, groupsize=4))
-        assert p.num_groups == 3  # ceil(10/4)
+        assert p.scales.shape[0] == 3  # ceil(10/4)
         assert np.array_equal(p.g_idx, [0, 0, 0, 0, 1, 1, 1, 1, 2, 2])
 
     def test_scales_positive_zeros_in_range(self):
@@ -390,3 +391,13 @@ class TestProxyLoss:
 
 def test_group_index_minus_one():
     assert np.array_equal(group_index(5, -1), np.zeros(5, dtype=np.int32))
+
+
+def test_rows_per_group():
+    assert rows_per_group(10, -1) == 10
+    assert rows_per_group(10, 4) == 4
+    for n_rows, groupsize in ((10, 0), (10, -2), (0, -1)):
+        with pytest.raises(InvariantError):
+            rows_per_group(n_rows, groupsize)
+    with pytest.raises(InvariantError):
+        group_index(5, 0)
