@@ -1,7 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 ok, 2 usage, 3 container/format error, 4 invariant
-violation, 5 numeric failure.
+Exit codes: 0 ok, 2 usage, 3 malformed file or file contents, 4 invariant
+violation or a path that cannot be opened, 5 numeric failure.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ def _parse_configs(path) -> list[TileConfig]:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: cannot parse tile configs: {exc}") from exc
     if not isinstance(raw, list):
         raise FormatError(f"{path}: expected a JSON array of tile configs")
@@ -198,7 +198,7 @@ def _cmd_eval_circular(args) -> int:
     try:
         with open(args.records) as fh:
             records = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{args.records}: cannot parse records: {exc}") from exc
     if not isinstance(records, list) or not all(
         isinstance(rec, dict) and isinstance(rec.get("passes"), list)
@@ -255,7 +255,7 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except (InvariantError, FileNotFoundError) as exc:
+    except (InvariantError, OSError) as exc:
         print(f"invariant error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except NumericError as exc:

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import FormatError, InvariantError
 from .tensorio import (
     check_matrix,
+    file_invariants,
     list_attr,
     load_container,
     typed_attr,
@@ -67,12 +68,45 @@ class SyntheticModel:
     misc_params: int = 0
 
     def __post_init__(self):
+        """InvariantError unless names are unique, weights are finite 2-D f32
+        matrices, `embed_dims` holds two dims, `misc_params` >= 0, and the
+        shapes chain as the forward passes and the pipeline use them: the
+        vision stack from D_V, each layer reading the previous one's output;
+        every cross-modal member reading D_M, each group's first writing D_M."""
         names = self.matrix_names()
         if len(set(names)) != len(names):
             raise InvariantError("weight matrix names must be unique")
         missing = [n for n in names if n not in self.weights]
         if missing:
             raise InvariantError(f"weights missing for {missing}")
+        for name, w in self.weights.items():
+            try:
+                self.weights[name] = check_matrix(w)
+            except InvariantError as exc:
+                raise InvariantError(f"weight {name!r}: {exc}") from None
+        if len(self.embed_dims) != 2:
+            raise InvariantError(f"embed_dims must hold two dims, got {self.embed_dims}")
+        if self.misc_params < 0:
+            raise InvariantError(f"misc_params must be >= 0, got {self.misc_params}")
+        d_v, d_m = self.embed_dims
+
+        def expect(name, axis, want, what):
+            got = self.weights[name].shape[axis]
+            if got != want:
+                side = "in" if axis == 0 else "out"
+                raise InvariantError(
+                    f"weight {name!r} has {side}_features {got}, but {what} is {want}"
+                )
+
+        prev, what = d_v, "D_V"
+        for name in self.vision_layers:
+            expect(name, 0, prev, what)
+            prev, what = self.weights[name].shape[1], "the previous layer's out_features"
+        for layer in self.crossmodal_layers:
+            for group in layer.groups:
+                expect(group.members[0], 1, d_m, "D_M")
+                for name in group.members:
+                    expect(name, 0, d_m, "D_M")
 
     def matrix_names(self) -> list[str]:
         """Every quantized weight matrix, vision layers first."""
@@ -167,65 +201,26 @@ def load_model(path) -> SyntheticModel:
 
     A container of another schema, a missing or mistyped attribute
     (`vision_layers`, `crossmodal_layers` with each entry's `index` and
-    `groups` and each group's `kind` and `members`, `embed_dims` as two
-    integers, `misc_params` when present) is a FormatError, and so is a
-    weight that is not 2-D or whose shape does not chain as `_check_shapes`
-    describes.
+    `groups` and each group's `kind` and `members`, `embed_dims` as a list
+    of integers, `misc_params` when present), and contents that break an
+    invariant of `SyntheticModel` or its layers, is a FormatError.
     """
     tensors, attrs = load_container(path)
     if attrs.get("schema") != "synthetic-model/1":
         raise FormatError(f"{path}: not a synthetic-model container")
-    vision_layers = list_attr(attrs, "vision_layers", str, path)
-    layers = []
-    for entry in list_attr(attrs, "crossmodal_layers", dict, path):
-        where = f"{path}: cross-modal layer {entry.get('index')!r}"
-        groups = [
-            ComponentGroup(typed_attr(g, "kind", str, where),
-                           list_attr(g, "members", str, where))
-            for g in list_attr(entry, "groups", dict, where)
-        ]
-        layers.append(CrossModalLayer(typed_attr(entry, "index", int, where), groups))
-    embed_dims = list_attr(attrs, "embed_dims", int, path)
-    if len(embed_dims) != 2:
-        raise FormatError(
-            f"{path}: 'embed_dims' must hold two integers, got {embed_dims}"
-        )
-    misc_params = 0
-    if "misc_params" in attrs:
-        misc_params = typed_attr(attrs, "misc_params", int, path)
-    for name, t in tensors.items():
-        if t.ndim != 2:
-            raise FormatError(f"{path}: weight {name!r} is not 2-D: {list(t.shape)}")
-    weights = {name: check_matrix(t) for name, t in tensors.items()}
-    model = SyntheticModel(
-        vision_layers, layers, weights, tuple(embed_dims), misc_params
-    )
-    _check_shapes(model, path)
-    return model
-
-
-def _check_shapes(model: SyntheticModel, path) -> None:
-    """FormatError unless the weight shapes chain as the forward passes and
-    the pipeline use them: the vision stack from D_V, each layer taking the
-    previous one's output; every cross-modal member reading D_M, and each
-    group's first member (the one forwarded) writing D_M."""
-    d_v, d_m = model.embed_dims
-
-    def expect(name, axis, want, what):
-        got = model.weights[name].shape[axis]
-        if got != want:
-            side = "in" if axis == 0 else "out"
-            raise FormatError(
-                f"{path}: weight {name!r} has {side}_features {got}, "
-                f"but {what} is {want}"
-            )
-
-    prev, what = d_v, "D_V"
-    for name in model.vision_layers:
-        expect(name, 0, prev, what)
-        prev, what = model.weights[name].shape[1], "the previous layer's out_features"
-    for layer in model.crossmodal_layers:
-        for group in layer.groups:
-            expect(group.members[0], 1, d_m, "D_M")
-            for name in group.members:
-                expect(name, 0, d_m, "D_M")
+    with file_invariants(path):
+        vision_layers = list_attr(attrs, "vision_layers", str, path)
+        layers = []
+        for entry in list_attr(attrs, "crossmodal_layers", dict, path):
+            where = f"{path}: cross-modal layer {entry.get('index')!r}"
+            groups = [
+                ComponentGroup(typed_attr(g, "kind", str, where),
+                               list_attr(g, "members", str, where))
+                for g in list_attr(entry, "groups", dict, where)
+            ]
+            layers.append(CrossModalLayer(typed_attr(entry, "index", int, where), groups))
+        embed_dims = list_attr(attrs, "embed_dims", int, path)
+        misc_params = 0
+        if "misc_params" in attrs:
+            misc_params = typed_attr(attrs, "misc_params", int, path)
+        return SyntheticModel(vision_layers, layers, tensors, tuple(embed_dims), misc_params)

@@ -18,6 +18,7 @@ from .quantcore import (
     SUPPORTED_BITS,
     QuantizedMatrix,
     dequantize_codes,
+    group_index,
     rows_per_group,
 )
 
@@ -152,11 +153,13 @@ def dequantize_packed(layer: PackedLinear) -> np.ndarray:
 def _packed_layout(
     in_features: int, out_features: int, bits: int, groupsize: int
 ) -> dict[str, tuple[type, tuple[int, ...]]]:
-    """Dtype and shape of each packed tensor of an in x out layer."""
+    """Dtype and shape of each packed tensor of an in x out layer; an
+    InvariantError unless both are >= 1 and in_features is a multiple of f_int."""
     f_int = lanes_per_word(bits)
-    if in_features % f_int != 0:
+    if in_features < 1 or out_features < 1 or in_features % f_int != 0:
         raise InvariantError(
-            f"in_features {in_features} must be a multiple of f_int = {f_int}"
+            f"layer shape ({in_features}, {out_features}) must be positive, with "
+            f"in_features a multiple of f_int = {f_int}"
         )
     groups = -(-in_features // rows_per_group(in_features, groupsize))
     return {
@@ -201,15 +204,10 @@ def packed_from_tensors(
     """Rebuild the layer under `prefix` from a container tensor map.
 
     Raises FormatError unless every tensor is present with the dtype and
-    shape that (in_features, out_features, bits, groupsize) imply and every
-    g_idx entry names one of the G groups.
+    shape that (in_features, out_features, bits, groupsize) imply and g_idx
+    equals `group_index(in_features, groupsize)`; an impossible layer shape
+    is the InvariantError of `_packed_layout`.
     """
-    f_int = lanes_per_word(bits)
-    if in_features < 1 or out_features < 1 or in_features % f_int != 0:
-        raise FormatError(
-            f"layer {prefix!r}: ({in_features}, {out_features}) is not a "
-            f"positive shape with in_features a multiple of f_int = {f_int}"
-        )
     expected = {
         **_packed_layout(in_features, out_features, bits, groupsize),
         "bias": (np.float32, (out_features,)),
@@ -224,10 +222,9 @@ def packed_from_tensors(
                 f"layer {prefix!r}: {name} is {t.dtype} {list(t.shape)}, "
                 f"expected {np.dtype(dtype)} {list(shape)}"
             )
-    groups = found["scales"].shape[0]
-    if found["g_idx"].min() < 0 or found["g_idx"].max() >= groups:
+    if not np.array_equal(found["g_idx"], group_index(in_features, groupsize)):
         raise FormatError(
-            f"layer {prefix!r}: g_idx values must lie in [0, {groups})"
+            f"layer {prefix!r}: g_idx is not the row groups of groupsize {groupsize}"
         )
     return PackedLinear(**found, bits=bits, in_features=in_features,
                         out_features=out_features)

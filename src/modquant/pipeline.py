@@ -26,14 +26,13 @@ from .packfmt import (
     packed_tensors,
 )
 from .quantcore import (
-    SUPPORTED_BITS,
     QuantConfig,
     gptq_quantize,
     inverse_hessian_factor,
     proxy_loss,
     rtn_quantize,
 )
-from .tensorio import load_container, typed_attr, write_container
+from .tensorio import file_invariants, load_container, typed_attr, write_container
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -60,6 +59,11 @@ def quantize_model(
 ) -> QuantizedCheckpoint:
     if method not in ("gptq", "rtn"):
         raise InvariantError(f"unknown method {method!r}")
+    if (calib_v.module_id, calib_m.module_id) != ("vision", "crossmodal"):
+        raise InvariantError(
+            "calibration sets must come from the vision and crossmodal modules, "
+            f"got {calib_v.module_id!r} and {calib_m.module_id!r}"
+        )
     d_v, d_m = model.embed_dims
     if model.vision_layers and calib_v.feature_dim != d_v:
         raise InvariantError(
@@ -205,27 +209,28 @@ def save_checkpoint(ckpt: QuantizedCheckpoint, path) -> None:
 def load_checkpoint(path) -> QuantizedCheckpoint:
     """Read a checkpoint written by `save_checkpoint`.
 
-    A container of another schema, a missing or mistyped attribute, and any
-    layer tensor that is missing or does not match the layer's shape (see
-    `packed_from_tensors`), is a FormatError.
+    A container of another schema, a missing or mistyped attribute, bits
+    and groupsize that `QuantConfig` rejects, and any layer tensor that is
+    missing or does not match the layer's shape (see `packed_from_tensors`),
+    is a FormatError.
     """
     tensors, attrs = load_container(path)
     if attrs.get("schema") != "quantized-checkpoint/1":
         raise FormatError(f"{path}: not a quantized-checkpoint container")
     bits = typed_attr(attrs, "bits", int, path)
     groupsize = typed_attr(attrs, "groupsize", int, path)
-    if bits not in SUPPORTED_BITS or (groupsize != -1 and groupsize < 1):
-        raise FormatError(f"{path}: bad bits {bits} or groupsize {groupsize}")
     if not isinstance(attrs.get("layers"), dict) or "report" not in attrs:
         raise FormatError(
             f"{path}: attributes 'layers' (a map) and 'report' are required"
         )
     layers = {}
-    for name, meta in attrs["layers"].items():
-        where = f"{path}: layer {name!r}"
-        layers[name] = packed_from_tensors(
-            tensors, name, bits, groupsize,
-            typed_attr(meta, "in_features", int, where),
-            typed_attr(meta, "out_features", int, where),
-        )
+    with file_invariants(path):
+        cfg = QuantConfig(bits, groupsize)
+        for name, meta in attrs["layers"].items():
+            where = f"{path}: layer {name!r}"
+            layers[name] = packed_from_tensors(
+                tensors, name, cfg.bits, cfg.groupsize,
+                typed_attr(meta, "in_features", int, where),
+                typed_attr(meta, "out_features", int, where),
+            )
     return QuantizedCheckpoint(layers, attrs["report"])

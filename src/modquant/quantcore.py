@@ -36,7 +36,7 @@ class QuantConfig:
     damp_ratio: float = 0.01
 
     def __post_init__(self):
-        if self.bits not in SUPPORTED_BITS or 32 % self.bits != 0:
+        if self.bits not in SUPPORTED_BITS:
             raise InvariantError(
                 f"bits must be one of {SUPPORTED_BITS}, got {self.bits}"
             )
@@ -116,13 +116,10 @@ def compute_group_params(W: np.ndarray, cfg: QuantConfig) -> GroupQuantParams:
     return GroupQuantParams(scales, zeros, g_idx)
 
 
-def rtn_quantize(
-    W: np.ndarray, cfg: QuantConfig, params: GroupQuantParams | None = None
-) -> QuantizedMatrix:
+def rtn_quantize(W: np.ndarray, cfg: QuantConfig) -> QuantizedMatrix:
     """Round each weight independently to the nearest grid point."""
     W = check_matrix(W)
-    if params is None:
-        params = compute_group_params(W, cfg)
+    params = compute_group_params(W, cfg)
     s = params.scales[params.g_idx]
     z = params.zeros[params.g_idx]
     qint = np.clip(np.round(W / s) + z, 0, cfg.maxq).astype(np.int32)

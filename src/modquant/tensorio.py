@@ -24,6 +24,7 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from typing import Mapping
 
 import numpy as np
@@ -192,6 +193,16 @@ def load_container(path) -> tuple[dict[str, np.ndarray], dict]:
             f"{path}: {len(payload) - end} payload bytes after the last tensor"
         )
     return tensors, attrs
+
+
+@contextmanager
+def file_invariants(path):
+    """Re-raise an InvariantError met while building objects from the file
+    at `path` as a FormatError naming the path; other errors pass through."""
+    try:
+        yield
+    except InvariantError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def typed_attr(meta, key: str, kind: type, where):

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from modquant import InvariantError
+from modquant import InvariantError, QuantizedMatrix
 from modquant.tensorio import check_matrix
 
 
@@ -20,3 +20,13 @@ def reference_matmul(
     if bias is not None:
         out += np.asarray(bias, dtype=np.float32)
     return out
+
+
+def round_to_grid(W: np.ndarray, params, bits: int) -> QuantizedMatrix:
+    """Round-to-nearest onto given group parameters:
+    clip(round(W / s) + z, 0, 2^bits - 1) with (s, z) = params[g_idx]."""
+    W = check_matrix(W)
+    s = params.scales[params.g_idx]
+    z = params.zeros[params.g_idx]
+    qint = np.clip(np.round(W / s) + z, 0, (1 << bits) - 1).astype(np.int32)
+    return QuantizedMatrix(qint, params, bits)

@@ -61,6 +61,12 @@ def test_eval_circular_malformed_records(tmp_path, capsys, records):
     assert "passes" in capsys.readouterr().err
 
 
+def test_eval_circular_binary_records_is_format_error(tmp_path):
+    rec = tmp_path / "rec.json"
+    rec.write_bytes(bytes(range(128, 256)))
+    assert main(["eval-circular", "--records", str(rec)]) == 3
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["eval-circular", "--no-such-flag", "x"]) == 2
 
@@ -108,6 +114,43 @@ def test_size_model_with_bad_weight_shape_is_format_error(workspace, capsys, res
     write_container(path, tensors, attrs)
     assert main(["size", "--model", str(path), "--bits", "4"]) == 3
     assert name in capsys.readouterr().err
+
+
+def test_size_model_with_negative_misc_params_is_format_error(workspace, capsys):
+    path = workspace / "model.bin"
+    tensors, attrs = load_container(path)
+    attrs["misc_params"] = -1
+    write_container(path, tensors, attrs)
+    assert main(["size", "--model", str(path), "--bits", "4"]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "misc_params" in err
+
+
+def test_quantize_swapped_calibration_sets_is_invariant_error(workspace, capsys):
+    rc = main(["quantize", "--model", str(workspace / "model.bin"),
+               "--calib-v", str(workspace / "cm.bin"),
+               "--calib-m", str(workspace / "cv.bin"),
+               "--bits", "4", "--out", str(workspace / "x.bin")])
+    assert rc == 4
+    assert "vision and crossmodal" in capsys.readouterr().err
+    assert not (workspace / "x.bin").exists()
+
+
+# A path that cannot be opened, passed where a container (--model) or a JSON
+# file (--records, --configs) is read, is exit 4 with no traceback.
+UNREADABLE_INPUTS = {
+    "size --model": ["size", "--bits", "4", "--model"],
+    "eval-circular --records": ["eval-circular", "--records"],
+    "bench --configs": ["bench", "--m", "8", "--k", "16", "--d", "8", "--configs"],
+}
+
+
+@pytest.mark.parametrize("target", ["directory", "missing file"])
+@pytest.mark.parametrize("command", sorted(UNREADABLE_INPUTS))
+def test_unreadable_input_path_is_exit_4(workspace, capsys, command, target):
+    path = workspace if target == "directory" else workspace / "nope.json"
+    assert main(UNREADABLE_INPUTS[command] + [str(path)]) == 4
+    assert str(path) in capsys.readouterr().err
 
 
 def test_quantize_rejects_bits_3(workspace):

@@ -1,3 +1,6 @@
+import json
+import sys
+
 import numpy as np
 import pytest
 
@@ -245,8 +248,11 @@ class TestByteIdentity:
 
 class TestSpans:
     def test_empty_label_rejected(self):
+        tracer = Tracer()
         with pytest.raises(InvariantError):
-            Tracer().open("")
+            with tracer.span(""):
+                pass
+        assert tracer.spans == []
 
     def test_nesting_containment(self):
         tracer = Tracer()
@@ -257,7 +263,7 @@ class TestSpans:
         assert outer.start_ns <= inner.start_ns
         assert inner.end_ns <= outer.end_ns
 
-    def test_quant_matmul_span_tree(self):
+    def test_quant_matmul_span_tree(self, tmp_path):
         tracer = Tracer()
         a = seeded_random_matrix(16, 16, 15)
         bias = np.zeros(16, dtype=np.float32)
@@ -279,8 +285,39 @@ class TestSpans:
         for dq in dequants:
             assert dq.parent in tile_ids
         # export shape
-        for entry in tracer.to_json():
+        tracer.dump(tmp_path / "spans.json")
+        exported = json.loads((tmp_path / "spans.json").read_text())
+        assert [e["label"] for e in exported] == [s.label for s in tracer.spans]
+        for entry in exported:
             assert set(entry) == {"label", "start_ns", "end_ns", "parent"}
+
+    def test_threaded_span_ids_and_parents(self):
+        # 8 workers share one tracer over many 8-row slabs, switching threads
+        # as often as the interpreter allows: ids stay equal to list
+        # positions (a lost update breaks that), and every parent is opened
+        # before, labelled for, and encloses its child.
+        a = seeded_random_matrix(64, 256, 18)
+        layer = packed_layer(256, 64, 19, bias=np.ones(64, dtype=np.float32))
+        parent_label = {"tile": "forward", "dequant": "tile", "bias_add": "forward"}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                tracer = Tracer()
+                quant_matmul(a, layer, TileConfig(8, 8, 8, workers=8), tracer=tracer)
+                spans = tracer.spans
+                assert [s.span_id for s in spans] == list(range(len(spans)))
+                assert [s.label for s in spans].count("tile") == 64
+                assert [s.label for s in spans].count("dequant") == 64 * 32
+                assert [s.label for s in spans if s.parent is None] == ["forward"]
+                for s in spans:
+                    if s.parent is not None:
+                        parent = spans[s.parent]
+                        assert s.parent < s.span_id
+                        assert parent.label == parent_label[s.label]
+                        assert parent.start_ns <= s.start_ns <= s.end_ns <= parent.end_ns
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestAutotune:

@@ -213,6 +213,11 @@ class TestEstimatePackedSize:
         with pytest.raises(InvariantError):
             estimate_packed_size(4096, 4096, 16, 128)
 
+    @pytest.mark.parametrize("n_in, n_out", [(0, 8), (8, 0), (-8, 8), (12, 8)])
+    def test_impossible_layer_shape_rejected(self, n_in, n_out):
+        with pytest.raises(InvariantError, match="layer shape"):
+            estimate_packed_size(n_in, n_out, 4, 16)
+
     def test_overhead_bounded(self):
         for gs in (64, 128, 256):
             sizes = estimate_packed_size(4096, 4096, 4, gs)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,11 @@ class TestQuantizeModel:
         m = generate_model(2, 0, DIM, seed=1)
         ck = quantize_model(m, calib("vision", 1), calib("crossmodal", 2), CFG)
         assert set(ck.layers) == set(m.vision_layers)
+
+    @pytest.mark.parametrize("modules", [("crossmodal", "vision"), ("vision", "vision")])
+    def test_calibration_sets_from_the_wrong_modules(self, model, modules):
+        with pytest.raises(InvariantError, match="vision and crossmodal"):
+            quantize_model(model, calib(modules[0], 10), calib(modules[1], 20), CFG)
 
     def test_dim_mismatch(self, model):
         bad = CalibrationSet("vision", [seeded_random_matrix(4, DIM + 1, 0)])
@@ -249,12 +255,15 @@ CKPT_MUTATIONS = {
     "g_idx u32": _tensor("v/g_idx", lambda x: x.view(np.uint32)),
     "g_idx equals G": _poke("v/g_idx", -1, 4),
     "g_idx negative": _poke("v/g_idx", 0, -1),
+    "g_idx reversed": _tensor("v/g_idx", lambda x: x[::-1].copy()),
+    "g_idx all zero": _tensor("v/g_idx", np.zeros_like),
     "bias short": _tensor("v/bias", lambda x: x[:-1]),
     "bias f16": _tensor("v/bias", lambda x: x.astype(np.float16)),
     "missing bits": _attr("bits"),
     "bits as string": _attr("bits", "4"),
     "bits 3": _attr("bits", 3),
     "missing groupsize": _attr("groupsize"),
+    "groupsize -2": _attr("groupsize", -2),
     "groupsize 0": _attr("groupsize", 0),
     "groupsize 32": _attr("groupsize", 32),
     "missing layers": _attr("layers"),
@@ -301,6 +310,15 @@ LOADER_MUTATIONS = {
     "model: layer index as string": ("model", _layer("index", "0")),
     "model: missing groups": ("model", _layer("groups")),
     "model: missing group kind": ("model", _group("kind")),
+    "model: unknown group kind": ("model", _group("kind", "attn_qkvo")),
+    "model: groups out of order": (
+        "model", lambda t, a: a["crossmodal_layers"][0]["groups"].reverse()),
+    "model: group with no members": ("model", _group("members", [])),
+    "model: missing weight tensor": ("model", _drop("crossmodal.0.attn_out.o_proj")),
+    "model: duplicate layer name": (
+        "model", _attr("vision_layers", ["vision.0.proj", "vision.0.proj"])),
+    "model: Inf weight": ("model", _poke("vision.0.proj", (0, 0), np.inf)),
+    "model: negative misc_params": ("model", _attr("misc_params", -1)),
     "model: missing members": ("model", _group("members")),
     "model: member not a string": ("model", _group("members", [1])),
     "model: missing embed_dims": ("model", _attr("embed_dims")),
@@ -315,6 +333,8 @@ LOADER_MUTATIONS = {
     "calib: module_id not a string": ("calib", _attr("module_id", 1)),
     "calib: missing sample": ("calib", _drop("calib/samples/1")),
     "calib: 1-D sample": ("calib", _tensor("calib/samples/0", np.ravel)),
+    "calib: samples of mixed widths": ("calib", _tensor("calib/samples/1", lambda x: x[:, :4])),
+    "calib: NaN sample": ("calib", _poke("calib/samples/0", (0, 0), np.nan)),
 }
 
 
@@ -333,7 +353,7 @@ def test_model_and_calibration_loaders_reject_malformed(tmp_path, mutation):
     tensors, attrs = load_container(path)
     mutate(tensors, attrs)
     write_container(path, tensors, attrs)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=re.escape(str(path))):
         load(path)
 
 
@@ -351,6 +371,8 @@ def test_loaders_reject_another_kind_of_container(tmp_path, load):
 # Weight shapes of a generate_model(2, 1, 8) container that break the chain
 # the forward passes and quantize_model rely on; each breaks one rule.
 SHAPE_MUTATIONS = {
+    "three embed dims": _attr("embed_dims", [8, 8, 8]),
+    "0 x 8 weight": _tensor("vision.1.proj", lambda x: x[:0]),
     "1-D weight": _tensor("vision.1.proj", np.ravel),
     "first vision layer in != D_V": _tensor("vision.0.proj", lambda x: x[:4]),
     "vision in != previous out": _tensor("vision.0.proj", lambda x: x[:, :4]),

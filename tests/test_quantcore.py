@@ -29,6 +29,7 @@ from modquant.quantcore import (
     inverse_hessian_factor,
     rows_per_group,
 )
+from oracles import round_to_grid
 
 
 def spd_hessian(dim, seed, rows=64):
@@ -103,7 +104,9 @@ class TestGroupParams:
         p = compute_group_params(w, cfg)
         assert p.scales[0, 0] == pytest.approx(3.7 / 15)
         assert p.zeros[0, 0] == 0
-        dq = dequantize_matrix(rtn_quantize(w, cfg, p))
+        q = round_to_grid(w, p, cfg.bits)
+        assert np.array_equal(q.qint, rtn_quantize(w, cfg).qint)
+        dq = dequantize_matrix(q)
         assert np.abs(3.7 - dq).max() <= p.scales[0, 0] * (1 << 4)
 
     def test_zero_column_scale_floor(self):
@@ -111,7 +114,7 @@ class TestGroupParams:
         cfg = QuantConfig(bits=4, groupsize=-1)
         p = compute_group_params(w, cfg)
         assert p.scales[0, 0] == pytest.approx(SCALE_FLOOR)
-        assert not dequantize_matrix(rtn_quantize(w, cfg, p)).any()
+        assert not dequantize_matrix(round_to_grid(w, p, cfg.bits)).any()
 
     def test_group_count_and_g_idx(self):
         w = seeded_random_matrix(256, 4, 0)
@@ -149,7 +152,7 @@ class TestRtn:
         cfg = QuantConfig(bits=4, groupsize=-1)
         q = rtn_quantize(seeded_random_matrix(16, 8, 4), cfg)
         w = dequantize_matrix(q)
-        q2 = rtn_quantize(w, cfg, q.params)
+        q2 = round_to_grid(w, q.params, cfg.bits)
         assert np.array_equal(q.qint, q2.qint)
 
     def test_scalar_rounding(self):
@@ -158,8 +161,7 @@ class TestRtn:
             zeros=np.zeros((1, 1), dtype=np.int32),
             g_idx=np.zeros(1, dtype=np.int32),
         )
-        q = rtn_quantize(np.array([[0.6]], dtype=np.float32),
-                         QuantConfig(bits=4), params)
+        q = round_to_grid(np.array([[0.6]], dtype=np.float32), params, 4)
         assert q.qint[0, 0] == 1
         assert dequantize_matrix(q)[0, 0] == 1.0
 
@@ -181,8 +183,10 @@ class TestRtn:
     )
     def test_grid_fixed_point_property(self, bits, rows, cols, gs, seed):
         cfg = QuantConfig(bits=bits, groupsize=gs)
-        q = rtn_quantize(seeded_random_matrix(rows, cols, seed), cfg)
-        redo = rtn_quantize(dequantize_matrix(q), cfg, q.params)
+        w = seeded_random_matrix(rows, cols, seed)
+        q = rtn_quantize(w, cfg)
+        assert np.array_equal(q.qint, round_to_grid(w, q.params, bits).qint)
+        redo = round_to_grid(dequantize_matrix(q), q.params, cfg.bits)
         assert np.array_equal(q.qint, redo.qint)
 
 
