@@ -71,8 +71,9 @@ class SyntheticModel:
         """InvariantError unless names are unique, weights are finite 2-D f32
         matrices, `embed_dims` holds two dims, `misc_params` >= 0, and the
         shapes chain as the forward passes and the pipeline use them: the
-        vision stack from D_V, each layer reading the previous one's output;
-        every cross-modal member reading D_M, each group's first writing D_M."""
+        vision stack from D_V, each layer reading the previous one's output,
+        the last writing D_M when cross-modal layers follow; every
+        cross-modal member reading D_M, each group's first writing D_M."""
         names = self.matrix_names()
         if len(set(names)) != len(names):
             raise InvariantError("weight matrix names must be unique")
@@ -102,6 +103,8 @@ class SyntheticModel:
         for name in self.vision_layers:
             expect(name, 0, prev, what)
             prev, what = self.weights[name].shape[1], "the previous layer's out_features"
+        if self.vision_layers and self.crossmodal_layers:
+            expect(self.vision_layers[-1], 1, d_m, "D_M")
         for layer in self.crossmodal_layers:
             for group in layer.groups:
                 expect(group.members[0], 1, d_m, "D_M")

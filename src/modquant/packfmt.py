@@ -33,15 +33,26 @@ def _check_codes(grid: np.ndarray, bits: int) -> np.ndarray:
     g = np.asarray(grid)
     if g.min(initial=0) < 0 or g.max(initial=0) >= (1 << bits):
         raise InvariantError(f"values out of [0, 2^{bits}) range")
-    return g.astype(np.uint32)
+    return g
 
 
 def _pack_axis0(grid: np.ndarray, bits: int) -> np.ndarray:
+    """OR each lane of a (rows, cols) code grid into (rows/f_int, cols) words.
+
+    Starts from lane 0 as uint32 and ORs in one shifted lane at a time. The
+    shift is done in uint32: a top-lane code of 2^(bits-1) or more sets bit
+    31, which would overflow int32.
+    """
     f_int = lanes_per_word(bits)
     rows, cols = grid.shape
-    shifts = (bits * np.arange(f_int, dtype=np.uint32)).reshape(1, f_int, 1)
-    lanes = grid.reshape(rows // f_int, f_int, cols) << shifts
-    return np.bitwise_or.reduce(lanes, axis=1).astype(np.uint32)
+    lanes = grid.reshape(rows // f_int, f_int, cols)
+    out = lanes[:, 0, :].astype(np.uint32)
+    shifted = np.empty_like(out)
+    for j in range(1, f_int):
+        np.left_shift(lanes[:, j, :], j * bits, out=shifted, dtype=np.uint32,
+                      casting="unsafe")
+        out |= shifted
+    return out
 
 
 def pack_weights(qint: np.ndarray, bits: int) -> np.ndarray:

@@ -209,28 +209,26 @@ def save_checkpoint(ckpt: QuantizedCheckpoint, path) -> None:
 def load_checkpoint(path) -> QuantizedCheckpoint:
     """Read a checkpoint written by `save_checkpoint`.
 
-    A container of another schema, a missing or mistyped attribute, bits
-    and groupsize that `QuantConfig` rejects, and any layer tensor that is
-    missing or does not match the layer's shape (see `packed_from_tensors`),
-    is a FormatError.
+    A container of another schema, a missing or mistyped attribute (the
+    layers and the report must be maps), bits and groupsize that
+    `QuantConfig` rejects, and any layer tensor that is missing or does not
+    match the layer's shape (see `packed_from_tensors`), is a FormatError.
     """
     tensors, attrs = load_container(path)
     if attrs.get("schema") != "quantized-checkpoint/1":
         raise FormatError(f"{path}: not a quantized-checkpoint container")
     bits = typed_attr(attrs, "bits", int, path)
     groupsize = typed_attr(attrs, "groupsize", int, path)
-    if not isinstance(attrs.get("layers"), dict) or "report" not in attrs:
-        raise FormatError(
-            f"{path}: attributes 'layers' (a map) and 'report' are required"
-        )
+    layer_meta = typed_attr(attrs, "layers", dict, path)
+    report = typed_attr(attrs, "report", dict, path)
     layers = {}
     with file_invariants(path):
         cfg = QuantConfig(bits, groupsize)
-        for name, meta in attrs["layers"].items():
+        for name, meta in layer_meta.items():
             where = f"{path}: layer {name!r}"
             layers[name] = packed_from_tensors(
                 tensors, name, cfg.bits, cfg.groupsize,
                 typed_attr(meta, "in_features", int, where),
                 typed_attr(meta, "out_features", int, where),
             )
-    return QuantizedCheckpoint(layers, attrs["report"])
+    return QuantizedCheckpoint(layers, report)

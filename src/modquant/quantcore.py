@@ -117,12 +117,26 @@ def compute_group_params(W: np.ndarray, cfg: QuantConfig) -> GroupQuantParams:
 
 
 def rtn_quantize(W: np.ndarray, cfg: QuantConfig) -> QuantizedMatrix:
-    """Round each weight independently to the nearest grid point."""
+    """Round each weight independently to the nearest grid point:
+    qint = clip(round(w / s) + z, 0, maxq) with (s, z) of the row's group.
+
+    Runs one row group at a time in f32. w / s and its rounding are f32
+    either way; the f32 sum round(w / s) + z is exact, because both terms
+    are integers and |round(w / s)| <= maxq <= 255 (the scale spans the
+    group's range, and flooring it at SCALE_FLOOR only shrinks the
+    quotient). So the result equals the same formula evaluated in f64.
+    """
     W = check_matrix(W)
     params = compute_group_params(W, cfg)
-    s = params.scales[params.g_idx]
-    z = params.zeros[params.g_idx]
-    qint = np.clip(np.round(W / s) + z, 0, cfg.maxq).astype(np.int32)
+    gs = rows_per_group(W.shape[0], cfg.groupsize)
+    zeros = params.zeros.astype(np.float32)
+    qint = np.empty(W.shape, dtype=np.int32)
+    for g, r0 in enumerate(range(0, W.shape[0], gs)):
+        q = W[r0 : r0 + gs] / params.scales[g]
+        np.round(q, out=q)
+        q += zeros[g]
+        np.clip(q, 0, cfg.maxq, out=q)
+        qint[r0 : r0 + gs] = q
     return QuantizedMatrix(qint, params, cfg.bits)
 
 

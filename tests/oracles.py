@@ -30,3 +30,15 @@ def round_to_grid(W: np.ndarray, params, bits: int) -> QuantizedMatrix:
     z = params.zeros[params.g_idx]
     qint = np.clip(np.round(W / s) + z, 0, (1 << bits) - 1).astype(np.int32)
     return QuantizedMatrix(qint, params, bits)
+
+
+def shift_or_pack(grid: np.ndarray, bits: int) -> np.ndarray:
+    """Pack a (rows, cols) code grid along axis 0 into (rows/f, cols) uint32
+    words, f = 32/bits: every lane shifted into place in one uint32 array,
+    then OR-reduced over the lane axis."""
+    f_int = 32 // bits
+    g = np.asarray(grid).astype(np.uint32)
+    rows, cols = g.shape
+    shifts = (bits * np.arange(f_int, dtype=np.uint32)).reshape(1, f_int, 1)
+    lanes = g.reshape(rows // f_int, f_int, cols) << shifts
+    return np.bitwise_or.reduce(lanes, axis=1).astype(np.uint32)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +22,7 @@ from modquant import (
     unpack_zeros,
 )
 from modquant.packfmt import packed_from_tensors, packed_tensors
+from oracles import shift_or_pack
 
 
 def random_codes(rng, rows, cols, bits):
@@ -77,6 +80,34 @@ class TestPackWeights:
         rng = np.random.default_rng(seed)
         q = random_codes(rng, words * lanes_per_word(bits), cols, bits)
         assert np.array_equal(unpack_weights(pack_weights(q, bits), bits), q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bits=st.sampled_from([2, 4, 8]),
+    words=st.integers(1, 6),
+    cols=st.integers(1, 40),
+    saturate=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_packers_match_shift_or_oracle(bits, words, cols, saturate, seed):
+    """pack_weights and pack_zeros equal the shift-then-OR-reduce packer;
+    a saturated grid puts 2^bits - 1 in every lane, so bit 31 is set."""
+    f_int = lanes_per_word(bits)
+    rng = np.random.default_rng(seed)
+    q = random_codes(rng, words * f_int, cols, bits)
+    if saturate:
+        q[:] = (1 << bits) - 1
+    words_out = pack_weights(q, bits)
+    assert words_out.dtype == np.uint32
+    assert words_out.tobytes() == shift_or_pack(q, bits).tobytes()
+    padded = np.zeros((words * f_int, -(-cols // f_int) * f_int), dtype=np.int32)
+    padded[:, :cols] = q
+    expect = np.ascontiguousarray(shift_or_pack(padded.T, bits).T)
+    got = pack_zeros(q, bits)
+    assert got.dtype == np.uint32 and np.ascontiguousarray(got).tobytes() == expect.tobytes()
+    if saturate:
+        assert (words_out == np.uint32(0xFFFFFFFF)).all()
 
 
 class TestPackZeros:
@@ -165,6 +196,44 @@ class TestPackLinear:
         q = rtn_quantize(seeded_random_matrix(10, 4, 1), QuantConfig(bits=4))
         with pytest.raises(InvariantError, match="f_int"):
             pack_linear(q)
+
+
+# sha256 over qweight, scales, qzeros and g_idx (in that order) of
+# pack_linear(rtn_quantize(seeded_random_matrix(160, 24, 2024), cfg)), keyed by
+# (bits, groupsize, symmetric). Groupsize 48 leaves a short last group and 24
+# columns leave padding lanes in the 2-bit qzeros. Round-to-nearest and packing
+# are elementwise, with no BLAS, so these bytes are the same on every platform;
+# a changed digest means a fixed seed no longer gives the same checkpoint.
+RTN_GOLDEN_DIGESTS = {
+    (2, -1, False): "39f5fc3cee411695807aa8d4650d0f30c5ad77f3b0bea426ecbcc0d5e1b24608",
+    (2, -1, True): "50e86e8a50fc7e7d9d21bb9040e0982e5b6ba4269c04d1bc810965029a602dd8",
+    (2, 1, False): "1de4e428b1ef409260492145faff92b7de59242d522ff68dd353ca8f6bdef63b",
+    (2, 1, True): "b661e4bf315307420fe3485e3788d1031fb090aa0bf6880c1f627f815a6ce1e7",
+    (2, 48, False): "8d27a953e9f09912bd93c27ee81bc8b06d33baa572ba4dbae4bbbf0a8a75ca99",
+    (2, 48, True): "4560075e934861abe68feef6180f0be35acd8ce8b558839b3b6856958002ea52",
+    (4, -1, False): "628e84c76c51174a6992c200efa7b21b17291be3b01c0a5b2da559d0c98e17cb",
+    (4, -1, True): "4062bf826363bca65dae8b436a271b8f1b429626250044a1373fdce67d9e2984",
+    (4, 1, False): "95bb516f10f15372693fb0e8ecda69eec6f5565a4d84ad4636139b57ec6080d8",
+    (4, 1, True): "ba659b8d8ffc38978c372626653d085b665f047651e06a2708e255e93cc988ef",
+    (4, 48, False): "9f9278200fbdc62d772e147f615e1284c826490f80012001d959bab6caaa7e8d",
+    (4, 48, True): "90d0a30f600a811623931c115cccda40fa096696064b5726227051af63405612",
+    (8, -1, False): "2d738ce514040a7e2446f09cf8d24dde9e9006b2f048e245fd08a155592bacf2",
+    (8, -1, True): "a856c9be61cc2b79f62bc6c6f11807f9cefffdc92dc144e1f6f8910c23aaff59",
+    (8, 1, False): "19396da243538b8da68bf088c85a4d2dab237fddb74e00dc3d40b74b802f78d2",
+    (8, 1, True): "b2527dbaf6930beef8a08a36e52f07a42debf3a0da315b27ad2b368bb62cfcc5",
+    (8, 48, False): "b7f2b3ea217bb976b1df8248c581837324a482521a50c35ab9bb65e0258f688e",
+    (8, 48, True): "11f87dc1d61fb4b86a7eb051b6554e9378a5047b8e8f234f1e3a997c09525f0a",
+}
+
+
+@pytest.mark.parametrize("bits,groupsize,symmetric", sorted(RTN_GOLDEN_DIGESTS))
+def test_rtn_packed_bytes_golden(bits, groupsize, symmetric):
+    cfg = QuantConfig(bits=bits, groupsize=groupsize, symmetric=symmetric)
+    layer = pack_linear(rtn_quantize(seeded_random_matrix(160, 24, 2024), cfg))
+    h = hashlib.sha256()
+    for t in (layer.qweight, layer.scales, layer.qzeros, layer.g_idx):
+        h.update(np.ascontiguousarray(t).tobytes())
+    assert h.hexdigest() == RTN_GOLDEN_DIGESTS[bits, groupsize, symmetric]
 
 
 class TestLayoutAgreement:

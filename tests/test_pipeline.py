@@ -268,6 +268,7 @@ CKPT_MUTATIONS = {
     "groupsize 32": _attr("groupsize", 32),
     "missing layers": _attr("layers"),
     "missing report": _attr("report"),
+    "report is a string": _attr("report", "x"),
     "missing in_features": _meta("in_features"),
     "in_features off by a word": _meta("in_features", 72),
     "out_features as float": _meta("out_features", 24.0),
@@ -318,6 +319,7 @@ LOADER_MUTATIONS = {
     "model: duplicate layer name": (
         "model", _attr("vision_layers", ["vision.0.proj", "vision.0.proj"])),
     "model: Inf weight": ("model", _poke("vision.0.proj", (0, 0), np.inf)),
+    "model: vision out != D_M": ("model", _tensor("vision.0.proj", lambda x: x[:, :4])),
     "model: negative misc_params": ("model", _attr("misc_params", -1)),
     "model: missing members": ("model", _group("members")),
     "model: member not a string": ("model", _group("members", [1])),
@@ -378,6 +380,7 @@ SHAPE_MUTATIONS = {
     "vision in != previous out": _tensor("vision.0.proj", lambda x: x[:, :4]),
     "member in != D_M": _tensor("crossmodal.0.attn_qkv.k_proj", lambda x: x[:4]),
     "first member out != D_M": _tensor("crossmodal.0.attn_out.o_proj", lambda x: x[:, :4]),
+    "last vision out != D_M": _tensor("vision.1.proj", lambda x: x[:, :4]),
     "embed_dims disagree with weights": _attr("embed_dims", [8, 16]),
 }
 

@@ -190,6 +190,58 @@ class TestRtn:
         assert np.array_equal(q.qint, redo.qint)
 
 
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_rtn_rounds_half_to_even(symmetric):
+    # Scale 1 on both grids (range 0..15, or max |w| = 7), so every
+    # half-integer is a tie: round-half-even, as the oracle does.
+    lo, hi = (-7, 7) if symmetric else (0, 15)
+    w = np.concatenate([[lo, hi], np.arange(lo, hi) + 0.5]).astype(np.float32)[:, None]
+    q = rtn_quantize(w, QuantConfig(bits=4, symmetric=symmetric))
+    assert q.params.scales[0, 0] == 1.0
+    assert np.array_equal(q.qint, round_to_grid(w, q.params, 4).qint)
+    assert np.array_equal(q.qint[2:, 0] - q.params.zeros[0, 0],
+                          np.round(w[2:, 0]).astype(np.int32))
+
+
+# Column generators for the round-to-nearest oracle test. "below floor" spans
+# less than SCALE_FLOOR * maxq for every bit width, so its scale is floored.
+RTN_COLUMNS = {
+    "normal": lambda rng, n: rng.standard_normal(n),
+    "zero": lambda rng, n: np.zeros(n),
+    "constant": lambda rng, n: np.full(n, rng.standard_normal()),
+    "below floor": lambda rng, n: rng.uniform(-1, 1, n) * SCALE_FLOOR,
+    "huge": lambda rng, n: rng.standard_normal(n) * 1e30,
+}
+
+
+@st.composite
+def rtn_cases(draw):
+    """(W, cfg) over every bit width and both grids, with groupsize -1, 1, a
+    divisor of the row count, or one that leaves a short last group."""
+    cfg = dict(bits=draw(st.sampled_from([2, 4, 8])), symmetric=draw(st.booleans()))
+    kind = draw(st.sampled_from(["one group", "1", "divisor", "short last group"]))
+    if kind in ("one group", "1"):
+        rows = draw(st.integers(1, 40))
+        gs = -1 if kind == "one group" else 1
+    else:
+        gs = draw(st.integers(2, 12))
+        tail = draw(st.integers(1, gs - 1)) if kind == "short last group" else 0
+        rows = gs * draw(st.integers(1, 4)) + tail
+    kinds = draw(st.lists(st.sampled_from(sorted(RTN_COLUMNS)), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    W = np.stack([RTN_COLUMNS[k](rng, rows) for k in kinds], axis=1).astype(np.float32)
+    return W, QuantConfig(groupsize=gs, **cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=rtn_cases())
+def test_rtn_matches_oracle_bytes(case):
+    W, cfg = case
+    q = rtn_quantize(W, cfg)
+    expect = round_to_grid(W, q.params, cfg.bits).qint
+    assert q.qint.dtype == expect.dtype and q.qint.tobytes() == expect.tobytes()
+
+
 class TestDequantize:
     def test_zero_point_identity(self):
         params = GroupQuantParams(
