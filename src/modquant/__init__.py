@@ -52,7 +52,6 @@ from .quantcore import (
     GroupQuantParams,
     QuantConfig,
     QuantizedMatrix,
-    compute_group_params,
     dequantize_matrix,
     gptq_quantize,
     group_index,

@@ -32,7 +32,7 @@ from .pipeline import (
     size_report,
 )
 from .quantcore import QuantConfig, rtn_quantize
-from .tensorio import seeded_random_matrix
+from .tensorio import file_invariants, seeded_random_matrix
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -200,16 +200,8 @@ def _cmd_eval_circular(args) -> int:
             records = json.load(fh)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{args.records}: cannot parse records: {exc}") from exc
-    if not isinstance(records, list) or not all(
-        isinstance(rec, dict) and isinstance(rec.get("passes"), list)
-        and all(isinstance(p, list) and len(p) == 2 for p in rec["passes"])
-        for rec in records
-    ):
-        raise FormatError(
-            f"{args.records}: records must be a list of objects, each with a "
-            "'passes' list of [prediction, answer] pairs"
-        )
-    acc = circular_eval_accuracy(records)
+    with file_invariants(args.records):
+        acc = circular_eval_accuracy(records)
     print(f"{acc:g}")
     return EXIT_OK
 

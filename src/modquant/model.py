@@ -71,9 +71,9 @@ class SyntheticModel:
         """InvariantError unless names are unique, weights are finite 2-D f32
         matrices, `embed_dims` holds two dims, `misc_params` >= 0, and the
         shapes chain as the forward passes and the pipeline use them: the
-        vision stack from D_V, each layer reading the previous one's output,
-        the last writing D_M when cross-modal layers follow; every
-        cross-modal member reading D_M, each group's first writing D_M."""
+        vision stack from D_V, each layer reading the previous one's output;
+        D_M fed to the cross-modal layers, by the last vision layer or as D_V;
+        every cross-modal member reading D_M, each group's first writing D_M."""
         names = self.matrix_names()
         if len(set(names)) != len(names):
             raise InvariantError("weight matrix names must be unique")
@@ -102,9 +102,9 @@ class SyntheticModel:
         prev, what = d_v, "D_V"
         for name in self.vision_layers:
             expect(name, 0, prev, what)
-            prev, what = self.weights[name].shape[1], "the previous layer's out_features"
-        if self.vision_layers and self.crossmodal_layers:
-            expect(self.vision_layers[-1], 1, d_m, "D_M")
+            prev, what = self.weights[name].shape[1], f"the out_features of {name!r}"
+        if self.crossmodal_layers and prev != d_m:
+            raise InvariantError(f"cross-modal layers read D_M {d_m}, but {what} is {prev}")
         for layer in self.crossmodal_layers:
             for group in layer.groups:
                 expect(group.members[0], 1, d_m, "D_M")

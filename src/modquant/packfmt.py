@@ -115,8 +115,8 @@ def unpack_value(word: int, lane: int, bits: int) -> int:
 class PackedLinear:
     """A quantized linear layer in its storage form.
 
-    Scales are kept as f16 (their serialized dtype); compute always widens
-    to f32.
+    Scales are kept as f16 (their serialized dtype) and must be finite;
+    compute always widens to f32.
     """
 
     qweight: np.ndarray  # (I/f_int, O) u32
@@ -127,6 +127,10 @@ class PackedLinear:
     bits: int
     in_features: int
     out_features: int
+
+    def __post_init__(self):
+        if not np.isfinite(self.scales).all():
+            raise InvariantError("scales must be finite (float16 overflows above 65504)")
 
     def unpack_qint(self) -> np.ndarray:
         return unpack_weights(self.qweight, self.bits)
@@ -143,9 +147,11 @@ def pack_linear(q: QuantizedMatrix, bias: np.ndarray | None = None) -> PackedLin
             raise InvariantError(
                 f"bias length {bias.shape[0]} != out_features {n_cols}"
             )
+    with np.errstate(over="ignore"):  # an overflow is inf, which PackedLinear rejects
+        scales = q.params.scales.astype(np.float16)
     return PackedLinear(
         qweight=pack_weights(q.qint, q.bits),
-        scales=q.params.scales.astype(np.float16),
+        scales=scales,
         qzeros=pack_zeros(q.params.zeros, q.bits),
         g_idx=q.params.g_idx.astype(np.int32),
         bias=bias,

@@ -77,54 +77,51 @@ def quantize_model(
     layers: dict[str, PackedLinear] = {}
     entries = []
 
-    def quantize_one(name, weight, hessian, module, layer_idx, group, calib_hash,
-                     factor=None):
-        if method == "gptq":
-            q = gptq_quantize(weight, hessian, cfg, factor=factor)
-        else:
-            q = rtn_quantize(weight, cfg)
-        layers[name] = pack_linear(q)
-        entries.append({
-            "name": name,
-            "module": module,
-            "layer_index": layer_idx,
-            "group": group,
-            "order_index": len(entries),
-            "in_features": int(weight.shape[0]),
-            "out_features": int(weight.shape[1]),
-            "proxy_loss": proxy_loss(weight, q, hessian),
-            "calib_sha256": calib_hash,
-            "bytes": estimate_packed_size(
-                weight.shape[0], weight.shape[1], cfg.bits, cfg.groupsize
-            ),
-        })
+    def quantize_block(samples, module, layer_idx, members):
+        """Quantize `members`, (name, group) pairs of matrices that all read
+        `samples`, against one Hessian and, for GPTQ, one factor of it."""
+        calib_hash = _hash_samples(samples)
+        n_in = model.weights[members[0][0]].shape[0]
+        hessian = hessian_from_samples(samples, n_in, cfg.damp_ratio)
+        factor = inverse_hessian_factor(hessian) if method == "gptq" else None
+        for name, group in members:
+            weight = model.weights[name]
+            if method == "gptq":
+                q = gptq_quantize(weight, hessian, cfg, factor=factor)
+            else:
+                q = rtn_quantize(weight, cfg)
+            layers[name] = pack_linear(q)
+            entries.append({
+                "name": name,
+                "module": module,
+                "layer_index": layer_idx,
+                "group": group,
+                "order_index": len(entries),
+                "in_features": int(weight.shape[0]),
+                "out_features": int(weight.shape[1]),
+                "proxy_loss": proxy_loss(weight, q, hessian),
+                "calib_sha256": calib_hash,
+                "bytes": estimate_packed_size(
+                    weight.shape[0], weight.shape[1], cfg.bits, cfg.groupsize
+                ),
+            })
 
-    # Vision phase: each layer's Hessian comes from the vision calibration
+    # Vision phase: each layer's calibration is the vision calibration
     # propagated through the preceding original-weight layers. Samples are
     # only read, so they are used in place.
     samples = calib_v.samples
     last = len(model.vision_layers) - 1
     for i, name in enumerate(model.vision_layers):
-        w = model.weights[name]
-        hessian = hessian_from_samples(samples, w.shape[0], cfg.damp_ratio)
-        quantize_one(name, w, hessian, "vision", i, None, _hash_samples(samples))
+        quantize_block(samples, "vision", i, [(name, None)])
         if i < last:
-            samples = [(s @ w).astype(np.float32) for s in samples]
+            samples = [(s @ model.weights[name]).astype(np.float32) for s in samples]
 
-    # Cross-modal phase: one shared calibration input (and Hessian, since
-    # every member shares the layer's input-feature space) per layer, so
-    # GPTQ factorizes that Hessian once for all members.
+    # Cross-modal phase: every member of a layer reads the layer's input,
+    # so the whole layer is one block.
     samples = calib_m.samples
     for layer in model.crossmodal_layers:
-        calib_hash = _hash_samples(samples)
-        hessian = hessian_from_samples(samples, d_m, cfg.damp_ratio)
-        factor = inverse_hessian_factor(hessian) if method == "gptq" else None
-        for group in layer.groups:
-            for name in group.members:
-                quantize_one(
-                    name, model.weights[name], hessian,
-                    "crossmodal", layer.index, group.group_kind, calib_hash, factor,
-                )
+        quantize_block(samples, "crossmodal", layer.index,
+                       [(name, g.group_kind) for g in layer.groups for name in g.members])
         samples = [model.forward_crossmodal_layer(layer, s) for s in samples]
 
     report = {
@@ -143,18 +140,19 @@ def quantize_model(
 
 
 def circular_eval_accuracy(records: list[dict]) -> float:
-    """Fraction of questions answered correctly in every circular pass."""
-    if not records:
-        raise InvariantError("no evaluation records")
-    hits = 0
-    for rec in records:
-        passes = rec["passes"]
-        if not passes:
-            raise InvariantError(
-                f"question {rec.get('question_id')!r} has no passes"
-            )
-        hits += all(p == a for p, a in passes)
-    return hits / len(records)
+    """Fraction of questions answered correctly in every circular pass, over
+    a non-empty list of objects, each with a non-empty 'passes' list of
+    (prediction, answer) pairs; anything else is an InvariantError."""
+    if not isinstance(records, list) or not records or not all(
+        isinstance(rec, dict) and isinstance(rec.get("passes"), list) and rec["passes"]
+        and all(isinstance(p, (list, tuple)) and len(p) == 2 for p in rec["passes"])
+        for rec in records
+    ):
+        raise InvariantError(
+            "records must be a non-empty list of objects, each with a non-empty "
+            "'passes' list of [prediction, answer] pairs"
+        )
+    return sum(all(p == a for p, a in rec["passes"]) for rec in records) / len(records)
 
 
 def size_report(

@@ -91,8 +91,8 @@ def compute_group_params(W: np.ndarray, cfg: QuantConfig) -> GroupQuantParams:
     scale), 0, maxq), with the range widened to include 0 so a constant
     column lands exactly on a grid point. Symmetric: scale = max|w| /
     (2^(N-1) - 1), zero = 2^(N-1). Both floor the scale at SCALE_FLOOR.
+    W is a matrix that `check_matrix` has already accepted.
     """
-    W = check_matrix(W)
     n_rows, n_cols = W.shape
     gs = rows_per_group(n_rows, cfg.groupsize)
     g_idx = group_index(n_rows, cfg.groupsize)

@@ -5,6 +5,7 @@ from modquant import (
     CalibrationSet,
     InvariantError,
     NumericError,
+    SyntheticModel,
     capture_calibration,
     generate_model,
     hessian_from_samples,
@@ -115,6 +116,18 @@ class TestCapture:
         calib = capture_calibration(model, [x], "crossmodal")
         standalone = x @ model.weights[model.vision_layers[0]]
         assert np.allclose(calib.samples[0], standalone, rtol=1e-6)
+
+    def test_crossmodal_capture_without_vision_layers(self):
+        # with no vision stack the cross-modal layers read the raw inputs
+        model = generate_model(0, 1, 8, seed=0)
+        x = seeded_random_matrix(4, 8, 1)
+        calib = capture_calibration(model, [x], "crossmodal")
+        assert np.array_equal(calib.samples[0], x)
+
+    def test_model_without_vision_layers_needs_d_v_equal_d_m(self):
+        cm = generate_model(0, 1, 8, seed=3)
+        with pytest.raises(InvariantError, match="read D_M 8, but D_V is 4"):
+            SyntheticModel([], cm.crossmodal_layers, cm.weights, (4, 8))
 
     def test_missing_module_rejected(self):
         model = generate_model(0, 1, 8, seed=0)

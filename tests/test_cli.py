@@ -5,9 +5,12 @@ import pytest
 
 from modquant import (
     CalibrationSet,
+    generate_model,
     load_checkpoint,
     load_container,
     save_calibration,
+    save_model,
+    seeded_random_matrix,
     write_container,
 )
 from modquant.cli import main
@@ -51,8 +54,10 @@ def test_eval_circular_malformed_json(tmp_path):
 
 @pytest.mark.parametrize(
     "records",
-    [[1], [{"question_id": 1}], [{"passes": [[1, 2, 3]]}], {"a": 1}],
-    ids=["not an object", "no passes", "not a pair", "not a list"],
+    [[1], [{"question_id": 1}], [{"passes": [[1, 2, 3]]}], {"a": 1}, [],
+     [{"question_id": 1, "passes": []}]],
+    ids=["not an object", "no passes", "not a pair", "not a list", "empty",
+         "empty passes"],
 )
 def test_eval_circular_malformed_records(tmp_path, capsys, records):
     rec = tmp_path / "rec.json"
@@ -214,6 +219,24 @@ def test_quantize_all_zero_calibration_is_numeric_error(workspace, capsys):
                "--bits", "4", "--out", str(workspace / "x.bin")])
     assert rc == 5
     assert "all-zero Hessian" in capsys.readouterr().err
+    assert not (workspace / "x.bin").exists()
+
+
+@pytest.mark.parametrize("method", [[], ["--rtn"]], ids=["gptq", "rtn"])
+def test_quantize_float16_scale_overflow_is_invariant_error(workspace, capsys, method):
+    # finite weights up to ~4.7e6 give 4-bit g32 scales above float16's 65504
+    model = generate_model(1, 0, 64, 1)
+    model.weights["vision.0.proj"] *= np.float32(1e7)
+    save_model(model, workspace / "big.bin")
+    save_calibration(CalibrationSet("vision", [seeded_random_matrix(8, 64, 2)]),
+                     workspace / "cv64.bin")
+    rc = main(["quantize", "--model", str(workspace / "big.bin"),
+               "--calib-v", str(workspace / "cv64.bin"),
+               "--calib-m", str(workspace / "cm.bin"),
+               "--bits", "4", "--groupsize", "32", *method,
+               "--out", str(workspace / "x.bin")])
+    assert rc == 4
+    assert "scales must be finite" in capsys.readouterr().err
     assert not (workspace / "x.bin").exists()
 
 

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from modquant import (
     InvariantError,
+    PackedLinear,
     QuantConfig,
     dequantize_matrix,
     dequantize_packed,
     estimate_packed_size,
+    generate_model,
     lanes_per_word,
     pack_linear,
     pack_weights,
@@ -196,6 +198,24 @@ class TestPackLinear:
         q = rtn_quantize(seeded_random_matrix(10, 4, 1), QuantConfig(bits=4))
         with pytest.raises(InvariantError, match="f_int"):
             pack_linear(q)
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_float16_scale_overflow_rejected(self, symmetric):
+        # finite f32 scales of ~6e5 (a 4-bit group range of ~9.4e6) have no
+        # float16 value
+        w = generate_model(1, 0, 64, 1).weights["vision.0.proj"] * np.float32(1e7)
+        q = rtn_quantize(w, QuantConfig(bits=4, groupsize=32, symmetric=symmetric))
+        assert np.isfinite(q.params.scales).all()
+        with pytest.raises(InvariantError, match="scales must be finite"):
+            pack_linear(q)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_scale_rejected(self, bad):
+        layer = pack_linear(rtn_quantize(seeded_random_matrix(16, 4, 1),
+                                         QuantConfig(bits=4, groupsize=8)))
+        layer.scales[1, 2] = bad
+        with pytest.raises(InvariantError, match="scales must be finite"):
+            PackedLinear(**vars(layer))
 
 
 # sha256 over qweight, scales, qzeros and g_idx (in that order) of

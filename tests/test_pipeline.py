@@ -27,6 +27,7 @@ from modquant import (
     size_report,
     write_container,
 )
+from modquant import pipeline
 from modquant.pipeline import QuantizedCheckpoint
 from modquant.model import GROUP_ORDER
 
@@ -122,6 +123,33 @@ class TestQuantizeModel:
                             CFG, method="rtn")
         assert ck.report["method"] == "rtn"
 
+    @pytest.mark.parametrize("method", ["gptq", "rtn"])
+    def test_one_factor_per_hessian_block(self, model, monkeypatch, method):
+        # 2 vision layers + 2 cross-modal layers = 4 blocks, one Hessian
+        # each; every GPTQ call gets its block's factor, RTN factorizes none
+        factors, gptq_factors = [], []
+        factorize, gptq = pipeline.inverse_hessian_factor, pipeline.gptq_quantize
+
+        def counting_factorize(h):
+            factors.append(factorize(h))
+            return factors[-1]
+
+        def recording_gptq(w, h, cfg, *, factor=None):
+            gptq_factors.append(factor)
+            return gptq(w, h, cfg, factor=factor)
+
+        monkeypatch.setattr(pipeline, "inverse_hessian_factor", counting_factorize)
+        monkeypatch.setattr(pipeline, "gptq_quantize", recording_gptq)
+        quantize_model(model, calib("vision", 10), calib("crossmodal", 20), CFG,
+                       method=method)
+        if method == "rtn":
+            assert factors == [] and gptq_factors == []
+            return
+        assert len(factors) == 4
+        assert len(gptq_factors) == len(model.weights)
+        per_member = [factors[0], factors[1]] + [factors[2]] * 8 + [factors[3]] * 8
+        assert all(got is want for got, want in zip(gptq_factors, per_member))
+
     def test_deterministic(self, model, checkpoint, tmp_path):
         again = quantize_model(model, calib("vision", 10), calib("crossmodal", 20), CFG)
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -180,6 +208,16 @@ class TestCircularEval:
             circular_eval_accuracy([])
         with pytest.raises(InvariantError):
             circular_eval_accuracy([{"question_id": 1, "passes": []}])
+
+    @pytest.mark.parametrize(
+        "records",
+        [{"a": 1}, [1], [{"question_id": 1}], [{"passes": [("A", "B", "C")]}],
+         [{"passes": "AA"}]],
+        ids=["not a list", "not an object", "no passes", "not a pair", "passes a string"],
+    )
+    def test_malformed_records_rejected(self, records):
+        with pytest.raises(InvariantError, match="passes"):
+            circular_eval_accuracy(records)
 
 
 def model_shapes(m):
@@ -249,6 +287,8 @@ CKPT_MUTATIONS = {
     "truncated qweight": _tensor("v/qweight", lambda x: x[:-1]),
     "qweight i32": _tensor("v/qweight", lambda x: x.view(np.int32)),
     "scales f32": _tensor("v/scales", lambda x: x.astype(np.float32)),
+    "inf scale": _poke("v/scales", (0, 0), np.inf),
+    "NaN scale": _poke("v/scales", (3, 23), np.nan),
     "scales missing a group": _tensor("v/scales", lambda x: x[:-1]),
     "qzeros extra word": _tensor("v/qzeros", lambda x: np.zeros((4, 4), x.dtype)),
     "g_idx short": _tensor("v/g_idx", lambda x: x[:-8]),
@@ -320,6 +360,9 @@ LOADER_MUTATIONS = {
         "model", _attr("vision_layers", ["vision.0.proj", "vision.0.proj"])),
     "model: Inf weight": ("model", _poke("vision.0.proj", (0, 0), np.inf)),
     "model: vision out != D_M": ("model", _tensor("vision.0.proj", lambda x: x[:, :4])),
+    "model: no vision layers and D_V != D_M": (
+        "model", lambda t, a: (t.pop("vision.0.proj"),
+                               a.update(vision_layers=[], embed_dims=[4, 8]))),
     "model: negative misc_params": ("model", _attr("misc_params", -1)),
     "model: missing members": ("model", _group("members")),
     "model: member not a string": ("model", _group("members", [1])),

@@ -8,7 +8,6 @@ from modquant import (
     InvariantError,
     NumericError,
     QuantConfig,
-    compute_group_params,
     dequantize_matrix,
     generate_model,
     gptq_quantize,
@@ -21,11 +20,13 @@ from modquant import (
     seeded_random_matrix,
     synthetic_activations,
 )
+from modquant import quantcore
 from modquant.packfmt import packed_tensors
 from modquant.quantcore import (
     SCALE_FLOOR,
     GroupQuantParams,
     QuantizedMatrix,
+    compute_group_params,
     inverse_hessian_factor,
     rows_per_group,
 )
@@ -419,6 +420,21 @@ def assert_pipeline_matches_row_loop(vision, crossmodal, dim, seed, rows, sample
         assert got.keys() == want.keys()
         for key in want:
             assert got[key].tobytes() == want[key].tobytes(), key
+
+
+@pytest.mark.parametrize("quantize", [
+    lambda w, h, cfg: rtn_quantize(w, cfg),
+    lambda w, h, cfg: gptq_quantize(w, h, cfg),
+    lambda w, h, cfg: gptq_quantize(w, h, cfg, factor=inverse_hessian_factor(h)),
+], ids=["rtn", "gptq", "gptq with factor"])
+def test_quantizers_check_weights_once(monkeypatch, quantize):
+    calls = []
+    check = quantcore.check_matrix
+    monkeypatch.setattr(quantcore, "check_matrix",
+                        lambda m: calls.append(1) or check(m))
+    w, h = seeded_random_matrix(32, 8, 0), spd_hessian(32, 1)
+    quantize(w, h, QuantConfig(bits=4, groupsize=8))
+    assert len(calls) == 1
 
 
 def test_quantize_model_matches_row_loop():
