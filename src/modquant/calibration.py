@@ -131,8 +131,8 @@ def load_calibration(path) -> CalibrationSet:
 
     A container of another schema, a missing or mistyped `num_samples` (an
     integer) or `module_id` (a string), a missing `calib/samples/<k>` tensor
-    for any k < num_samples, and samples that break an invariant of
-    `CalibrationSet`, is a FormatError.
+    for any k < num_samples, any other tensor outside `calib/aux/*`, and
+    samples that break an invariant of `CalibrationSet`, is a FormatError.
     """
     tensors, attrs = load_container(path)
     if attrs.get("schema") != "calibration/1":
@@ -141,14 +141,16 @@ def load_calibration(path) -> CalibrationSet:
     module_id = typed_attr(attrs, "module_id", str, path)
     samples = []
     for k in range(n):
-        sample = tensors.get(f"calib/samples/{k}")
+        sample = tensors.pop(f"calib/samples/{k}", None)
         if sample is None:
             raise FormatError(f"{path}: tensor 'calib/samples/{k}' is missing")
         samples.append(sample)
-    aux = {
-        name.removeprefix("calib/aux/"): t
-        for name, t in tensors.items()
-        if name.startswith("calib/aux/")
-    }
+    stray = sorted(name for name in tensors if not name.startswith("calib/aux/"))
+    if stray:
+        raise FormatError(
+            f"{path}: tensors {stray} are neither samples below num_samples nor "
+            "calib/aux/*"
+        )
+    aux = {name.removeprefix("calib/aux/"): t for name, t in tensors.items()}
     with file_invariants(path):
         return CalibrationSet(module_id, samples, aux)

@@ -139,9 +139,6 @@ def quant_matmul(
         raise InvariantError(
             f"A has {k} columns but the layer expects {layer.in_features}"
         )
-    f_int = lanes_per_word(layer.bits)
-    if k % f_int != 0:
-        raise InvariantError(f"K = {k} must be a multiple of f_int = {f_int}")
 
     zeros = layer.unpack_zero_codes()
     scales = layer.scales.astype(np.float32)

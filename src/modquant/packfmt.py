@@ -111,12 +111,20 @@ def unpack_value(word: int, lane: int, bits: int) -> int:
     return (int(word) >> (lane * bits)) & ((1 << bits) - 1)
 
 
-@dataclass
+# Container tensor names of a packed layer, in write order; bias is optional.
+PACKED_TENSORS = ("qweight", "scales", "qzeros", "g_idx", "bias")
+
+
+@dataclass(frozen=True)
 class PackedLinear:
     """A quantized linear layer in its storage form.
 
-    Scales are kept as f16 (their serialized dtype) and must be finite;
-    compute always widens to f32.
+    Every construction checks the layout: each tensor has the dtype and
+    shape that `_packed_layout(in_features, out_features, bits, groupsize)`
+    gives, a bias is (out_features,) f32, g_idx is
+    `group_index(in_features, groupsize)`, and the f16 scales (their
+    serialized dtype) are finite; anything else is an InvariantError.
+    Compute always widens the scales to f32.
     """
 
     qweight: np.ndarray  # (I/f_int, O) u32
@@ -125,10 +133,26 @@ class PackedLinear:
     g_idx: np.ndarray    # (I,) i32
     bias: np.ndarray | None
     bits: int
+    groupsize: int
     in_features: int
     out_features: int
 
     def __post_init__(self):
+        expected = _packed_layout(self.in_features, self.out_features, self.bits,
+                                  self.groupsize)
+        if self.bias is not None:
+            expected["bias"] = (np.float32, (self.out_features,))
+        for name, (dtype, shape) in expected.items():
+            t = getattr(self, name)
+            if not isinstance(t, np.ndarray) or t.dtype != dtype or t.shape != shape:
+                got = f"{t.dtype} {list(t.shape)}" if isinstance(t, np.ndarray) else type(t)
+                raise InvariantError(
+                    f"{name} is {got}, expected {np.dtype(dtype)} {list(shape)}"
+                )
+        if not np.array_equal(self.g_idx, group_index(self.in_features, self.groupsize)):
+            raise InvariantError(
+                f"g_idx is not the row groups of groupsize {self.groupsize}"
+            )
         if not np.isfinite(self.scales).all():
             raise InvariantError("scales must be finite (float16 overflows above 65504)")
 
@@ -140,13 +164,6 @@ class PackedLinear:
 
 
 def pack_linear(q: QuantizedMatrix, bias: np.ndarray | None = None) -> PackedLinear:
-    n_rows, n_cols = q.shape
-    if bias is not None:
-        bias = np.asarray(bias, dtype=np.float32).reshape(-1)
-        if bias.shape[0] != n_cols:
-            raise InvariantError(
-                f"bias length {bias.shape[0]} != out_features {n_cols}"
-            )
     with np.errstate(over="ignore"):  # an overflow is inf, which PackedLinear rejects
         scales = q.params.scales.astype(np.float16)
     return PackedLinear(
@@ -154,10 +171,11 @@ def pack_linear(q: QuantizedMatrix, bias: np.ndarray | None = None) -> PackedLin
         scales=scales,
         qzeros=pack_zeros(q.params.zeros, q.bits),
         g_idx=q.params.g_idx.astype(np.int32),
-        bias=bias,
+        bias=None if bias is None else np.asarray(bias, dtype=np.float32).reshape(-1),
         bits=q.bits,
-        in_features=n_rows,
-        out_features=n_cols,
+        groupsize=q.groupsize,
+        in_features=q.shape[0],
+        out_features=q.shape[1],
     )
 
 
@@ -203,45 +221,25 @@ def estimate_packed_size(
 
 def packed_tensors(layer: PackedLinear, prefix: str) -> dict[str, np.ndarray]:
     """Container tensor map for one layer under `prefix`."""
-    tensors = {
-        f"{prefix}/qweight": layer.qweight,
-        f"{prefix}/scales": layer.scales,
-        f"{prefix}/qzeros": layer.qzeros,
-        f"{prefix}/g_idx": layer.g_idx,
+    return {
+        f"{prefix}/{name}": getattr(layer, name)
+        for name in PACKED_TENSORS
+        if getattr(layer, name) is not None
     }
-    if layer.bias is not None:
-        tensors[f"{prefix}/bias"] = layer.bias
-    return tensors
 
 
 def packed_from_tensors(
     tensors: dict[str, np.ndarray], prefix: str, bits: int, groupsize: int,
     in_features: int, out_features: int,
 ) -> PackedLinear:
-    """Rebuild the layer under `prefix` from a container tensor map.
+    """Build the layer under `prefix` from a container tensor map.
 
-    Raises FormatError unless every tensor is present with the dtype and
-    shape that (in_features, out_features, bits, groupsize) imply and g_idx
-    equals `group_index(in_features, groupsize)`; an impossible layer shape
-    is the InvariantError of `_packed_layout`.
+    A missing tensor other than the bias is a FormatError; the layer's own
+    check rejects the rest (see `PackedLinear`) as an InvariantError.
     """
-    expected = {
-        **_packed_layout(in_features, out_features, bits, groupsize),
-        "bias": (np.float32, (out_features,)),
-    }
-    found = {}
-    for name, (dtype, shape) in expected.items():
-        t = found[name] = tensors.get(f"{prefix}/{name}")
-        if t is None and name != "bias":
+    found = {name: tensors.get(f"{prefix}/{name}") for name in PACKED_TENSORS}
+    for name in PACKED_TENSORS[:-1]:
+        if found[name] is None:
             raise FormatError(f"layer {prefix!r}: missing tensor {name!r}")
-        if t is not None and (t.dtype != dtype or t.shape != shape):
-            raise FormatError(
-                f"layer {prefix!r}: {name} is {t.dtype} {list(t.shape)}, "
-                f"expected {np.dtype(dtype)} {list(shape)}"
-            )
-    if not np.array_equal(found["g_idx"], group_index(in_features, groupsize)):
-        raise FormatError(
-            f"layer {prefix!r}: g_idx is not the row groups of groupsize {groupsize}"
-        )
-    return PackedLinear(**found, bits=bits, in_features=in_features,
-                        out_features=out_features)
+    return PackedLinear(**found, bits=bits, groupsize=groupsize,
+                        in_features=in_features, out_features=out_features)

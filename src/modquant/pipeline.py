@@ -19,6 +19,7 @@ from .calibration import CalibrationSet, hessian_from_samples
 from .errors import FormatError, InvariantError
 from .model import SyntheticModel
 from .packfmt import (
+    PACKED_TENSORS,
     PackedLinear,
     estimate_packed_size,
     pack_linear,
@@ -185,20 +186,25 @@ def size_report(
 
 
 def save_checkpoint(ckpt: QuantizedCheckpoint, path) -> None:
-    tensors = {}
+    """Write `ckpt` so that `load_checkpoint` reads it back: the header's
+    bits and groupsize are the report's, and a layer packed at others is an
+    InvariantError before anything is written."""
+    bits, groupsize = ckpt.report["bits"], ckpt.report["groupsize"]
+    tensors, layer_meta = {}, {}
     for name, layer in ckpt.layers.items():
+        if (layer.bits, layer.groupsize) != (bits, groupsize):
+            raise InvariantError(
+                f"layer {name!r} is packed at bits {layer.bits}, groupsize "
+                f"{layer.groupsize}, but the report says {bits}, {groupsize}"
+            )
         tensors.update(packed_tensors(layer, name))
+        layer_meta[name] = {"in_features": layer.in_features,
+                            "out_features": layer.out_features}
     attrs = {
         "schema": "quantized-checkpoint/1",
-        "bits": ckpt.report["bits"],
-        "groupsize": ckpt.report["groupsize"],
-        "layers": {
-            e["name"]: {
-                "in_features": e["in_features"],
-                "out_features": e["out_features"],
-            }
-            for e in ckpt.report["layers"]
-        },
+        "bits": bits,
+        "groupsize": groupsize,
+        "layers": layer_meta,
         "report": ckpt.report,
     }
     write_container(path, tensors, attrs)
@@ -209,8 +215,10 @@ def load_checkpoint(path) -> QuantizedCheckpoint:
 
     A container of another schema, a missing or mistyped attribute (the
     layers and the report must be maps), bits and groupsize that
-    `QuantConfig` rejects, and any layer tensor that is missing or does not
-    match the layer's shape (see `packed_from_tensors`), is a FormatError.
+    `QuantConfig` rejects, a tensor outside `<layer>/{qweight, scales,
+    qzeros, g_idx, bias}` of a listed layer, and a layer with a missing
+    tensor or one that `PackedLinear` rejects (named in the message), is a
+    FormatError.
     """
     tensors, attrs = load_container(path)
     if attrs.get("schema") != "quantized-checkpoint/1":
@@ -219,13 +227,17 @@ def load_checkpoint(path) -> QuantizedCheckpoint:
     groupsize = typed_attr(attrs, "groupsize", int, path)
     layer_meta = typed_attr(attrs, "layers", dict, path)
     report = typed_attr(attrs, "report", dict, path)
-    layers = {}
     with file_invariants(path):
-        cfg = QuantConfig(bits, groupsize)
-        for name, meta in layer_meta.items():
-            where = f"{path}: layer {name!r}"
+        QuantConfig(bits, groupsize)
+    stray = tensors.keys() - {f"{name}/{t}" for name in layer_meta for t in PACKED_TENSORS}
+    if stray:
+        raise FormatError(f"{path}: tensors {sorted(stray)} belong to no layer")
+    layers = {}
+    for name, meta in layer_meta.items():
+        where = f"{path}: layer {name!r}"
+        with file_invariants(where):
             layers[name] = packed_from_tensors(
-                tensors, name, cfg.bits, cfg.groupsize,
+                tensors, name, bits, groupsize,
                 typed_attr(meta, "in_features", int, where),
                 typed_attr(meta, "out_features", int, where),
             )

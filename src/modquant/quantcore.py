@@ -64,6 +64,7 @@ class QuantizedMatrix:
     qint: np.ndarray  # (I, O) int32 in [0, 2^N - 1]
     params: GroupQuantParams
     bits: int
+    groupsize: int  # as in QuantConfig; params.g_idx is its group_index
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -137,7 +138,7 @@ def rtn_quantize(W: np.ndarray, cfg: QuantConfig) -> QuantizedMatrix:
         q += zeros[g]
         np.clip(q, 0, cfg.maxq, out=q)
         qint[r0 : r0 + gs] = q
-    return QuantizedMatrix(qint, params, cfg.bits)
+    return QuantizedMatrix(qint, params, cfg.bits, cfg.groupsize)
 
 
 def dequantize_codes(
@@ -233,7 +234,7 @@ def gptq_quantize(
                 work[s1:b1] -= u[s0:s1, s1:b1].T @ errs[s0 - b0 : s1 - b0]
         if b1 < n_rows:
             work[b1:] -= u[b0:b1, b1:].T @ errs
-    return QuantizedMatrix(qint, params, cfg.bits)
+    return QuantizedMatrix(qint, params, cfg.bits, cfg.groupsize)
 
 
 def inverse_hessian_factor(H: np.ndarray) -> np.ndarray:

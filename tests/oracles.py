@@ -29,7 +29,7 @@ def round_to_grid(W: np.ndarray, params, bits: int) -> QuantizedMatrix:
     s = params.scales[params.g_idx]
     z = params.zeros[params.g_idx]
     qint = np.clip(np.round(W / s) + z, 0, (1 << bits) - 1).astype(np.int32)
-    return QuantizedMatrix(qint, params, bits)
+    return QuantizedMatrix(qint, params, bits, int(np.count_nonzero(params.g_idx == 0)))
 
 
 def shift_or_pack(grid: np.ndarray, bits: int) -> np.ndarray:

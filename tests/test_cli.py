@@ -131,6 +131,25 @@ def test_size_model_with_negative_misc_params_is_format_error(workspace, capsys)
     assert str(path) in err and "misc_params" in err
 
 
+@pytest.mark.parametrize("command", ["size", "quantize"])
+def test_model_with_stray_weight_is_format_error(workspace, capsys, command):
+    path = workspace / "model.bin"
+    tensors, attrs = load_container(path)
+    tensors["stray.proj"] = seeded_random_matrix(32, 32, 0)
+    write_container(path, tensors, attrs)
+    out = workspace / "x.bin"
+    args = {
+        "size": ["size", "--model", str(path), "--bits", "4"],
+        "quantize": ["quantize", "--model", str(path),
+                     "--calib-v", str(workspace / "cv.bin"),
+                     "--calib-m", str(workspace / "cm.bin"),
+                     "--bits", "4", "--out", str(out)],
+    }[command]
+    assert main(args) == 3
+    assert "stray.proj" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_quantize_swapped_calibration_sets_is_invariant_error(workspace, capsys):
     rc = main(["quantize", "--model", str(workspace / "model.bin"),
                "--calib-v", str(workspace / "cm.bin"),

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -216,6 +217,41 @@ class TestPackLinear:
         layer.scales[1, 2] = bad
         with pytest.raises(InvariantError, match="scales must be finite"):
             PackedLinear(**vars(layer))
+
+
+# Each breaks one rule of the layout of a 64 x 24 4-bit g16 layer with a bias
+# (G = 4); the fields are those of that layer.
+LAYOUT_MUTATIONS = {
+    "truncated qweight": lambda l: {"qweight": l.qweight[:-1]},
+    "qweight i32": lambda l: {"qweight": l.qweight.view(np.int32)},
+    "scales f32": lambda l: {"scales": l.scales.astype(np.float32)},
+    "scales missing a group": lambda l: {"scales": l.scales[:-1]},
+    "qzeros extra word": lambda l: {"qzeros": np.zeros((4, 4), np.uint32)},
+    "g_idx short": lambda l: {"g_idx": l.g_idx[:-8]},
+    "g_idx reversed": lambda l: {"g_idx": l.g_idx[::-1].copy()},
+    "bias short": lambda l: {"bias": l.bias[:-1]},
+    "bias f16": lambda l: {"bias": l.bias.astype(np.float16)},
+    "in_features 60 at 4 bits": lambda l: {"in_features": 60},
+    "groupsize 32 on a g16 layer": lambda l: {"groupsize": 32},
+}
+
+
+def _g16_layer():
+    return pack_linear(rtn_quantize(seeded_random_matrix(64, 24, 1),
+                                    QuantConfig(bits=4, groupsize=16)),
+                       bias=np.ones(24, dtype=np.float32))
+
+
+@pytest.mark.parametrize("mutation", sorted(LAYOUT_MUTATIONS))
+def test_packed_linear_checks_its_layout(mutation):
+    layer = _g16_layer()
+    with pytest.raises(InvariantError):
+        dataclasses.replace(layer, **LAYOUT_MUTATIONS[mutation](layer))
+
+
+def test_packed_linear_fields_cannot_be_rebound():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        _g16_layer().in_features = 60
 
 
 # sha256 over qweight, scales, qzeros and g_idx (in that order) of

@@ -1,14 +1,18 @@
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modquant import (
     CalibrationSet,
     FormatError,
     InvariantError,
     QuantConfig,
+    TileConfig,
     circular_eval_accuracy,
     dequantize_packed,
     estimate_packed_size,
@@ -18,6 +22,7 @@ from modquant import (
     load_container,
     load_model,
     pack_linear,
+    quant_matmul,
     quantize_model,
     rtn_quantize,
     save_calibration,
@@ -25,9 +30,11 @@ from modquant import (
     save_model,
     seeded_random_matrix,
     size_report,
+    synthetic_activations,
     write_container,
 )
 from modquant import pipeline
+from modquant.packfmt import packed_tensors
 from modquant.pipeline import QuantizedCheckpoint
 from modquant.model import GROUP_ORDER
 
@@ -264,6 +271,10 @@ def _tensor(key, fn):
     return lambda t, a: t.__setitem__(key, fn(t[key]))
 
 
+def _copy(src, dst):
+    return lambda t, a: t.__setitem__(dst, t[src])
+
+
 def _poke(key, index, value):
     return lambda t, a: t[key].__setitem__(index, value)
 
@@ -299,6 +310,8 @@ CKPT_MUTATIONS = {
     "g_idx all zero": _tensor("v/g_idx", np.zeros_like),
     "bias short": _tensor("v/bias", lambda x: x[:-1]),
     "bias f16": _tensor("v/bias", lambda x: x.astype(np.float16)),
+    "stray tensor under no layer": _copy("v/qweight", "stray/qweight"),
+    "stray tensor under a layer": _copy("v/bias", "v/extra"),
     "missing bits": _attr("bits"),
     "bits as string": _attr("bits", "4"),
     "bits 3": _attr("bits", 3),
@@ -330,6 +343,20 @@ def test_load_checkpoint_rejects_malformed_layer(tmp_path, mutation):
     write_container(path, tensors, attrs)
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+def test_save_checkpoint_cannot_write_what_load_checkpoint_rejects(tmp_path):
+    layer = pack_linear(rtn_quantize(seeded_random_matrix(64, 24, 1), CFG))
+    report = {"bits": 4, "groupsize": 16,
+              "layers": [{"name": "v", "in_features": 64, "out_features": 24}]}
+    path = tmp_path / "ck.bin"
+    with pytest.raises(InvariantError, match="scales"):
+        f32_scales = dataclasses.replace(layer, scales=layer.scales.astype(np.float32))
+        save_checkpoint(QuantizedCheckpoint({"v": f32_scales}, report), path)
+    assert not path.exists()
+    with pytest.raises(InvariantError, match="report says 8, 16"):
+        save_checkpoint(QuantizedCheckpoint({"v": layer}, {**report, "bits": 8}), path)
+    assert not path.exists()
 
 
 def _layer(key, value=None):
@@ -370,6 +397,7 @@ LOADER_MUTATIONS = {
     "model: one embed dim": ("model", _attr("embed_dims", [8])),
     "model: float embed dims": ("model", _attr("embed_dims", [8.0, 8.0])),
     "model: misc_params as string": ("model", _attr("misc_params", "0")),
+    "model: stray weight": ("model", _copy("vision.0.proj", "stray.proj")),
     "calib: missing num_samples": ("calib", _attr("num_samples")),
     "calib: num_samples 0": ("calib", _attr("num_samples", 0)),
     "calib: num_samples as string": ("calib", _attr("num_samples", "2")),
@@ -380,6 +408,9 @@ LOADER_MUTATIONS = {
     "calib: 1-D sample": ("calib", _tensor("calib/samples/0", np.ravel)),
     "calib: samples of mixed widths": ("calib", _tensor("calib/samples/1", lambda x: x[:, :4])),
     "calib: NaN sample": ("calib", _poke("calib/samples/0", (0, 0), np.nan)),
+    "calib: sample beyond num_samples": ("calib", _copy("calib/samples/0", "calib/samples/5")),
+    "calib: unprefixed tensor": ("calib", _copy("calib/samples/0", "junk")),
+    "calib: sample beyond a shrunk num_samples": ("calib", _attr("num_samples", 1)),
 }
 
 
@@ -438,3 +469,52 @@ def test_load_model_rejects_weight_shapes(tmp_path, mutation):
     write_container(path, tensors, attrs)
     with pytest.raises(FormatError):
         load_model(path)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    layers=st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any),
+    dim=st.sampled_from(range(8, 65, 8)),
+    bits=st.sampled_from([2, 4, 8]),
+    groupsize=st.sampled_from([-1, 8, 12, 40]),
+    symmetric=st.booleans(),
+    method=st.sampled_from(["gptq", "rtn"]),
+)
+@example(layers=(1, 0), dim=8, bits=2, groupsize=-1, symmetric=False, method="rtn")
+@example(layers=(2, 2), dim=64, bits=4, groupsize=12, symmetric=True, method="gptq")
+@example(layers=(0, 1), dim=48, bits=2, groupsize=40, symmetric=False, method="gptq")
+def test_quantize_save_load_and_matmul_agree(tmp_path_factory, layers, dim, bits,
+                                             groupsize, symmetric, method):
+    """quantize -> save -> load gives the same layer bytes and report, and
+    the kernel matches A @ dequantize_packed (criterion 3's bound) at 1 and 2
+    workers. Groupsizes 12 and 40 leave a short last group at some dims; a
+    dim that is not a multiple of f_int is the documented InvariantError."""
+    model = generate_model(*layers, dim, seed=dim + bits)
+    calib_v, calib_m = (
+        CalibrationSet(module, [synthetic_activations(2 * dim, dim, seed)])
+        for module, seed in (("vision", 1), ("crossmodal", 2))
+    )
+    cfg = QuantConfig(bits=bits, groupsize=groupsize, symmetric=symmetric)
+    if dim % (32 // bits):
+        with pytest.raises(InvariantError, match="f_int"):
+            quantize_model(model, calib_v, calib_m, cfg, method)
+        return
+    ckpt = quantize_model(model, calib_v, calib_m, cfg, method)
+    path = tmp_path_factory.mktemp("ckpt") / "ck.bin"
+    save_checkpoint(ckpt, path)
+    back = load_checkpoint(path)
+    assert back.report == ckpt.report
+    assert back.layers.keys() == ckpt.layers.keys() == set(model.weights)
+    a = seeded_random_matrix(3, dim, dim)
+    for name, layer in ckpt.layers.items():
+        got = back.layers[name]
+        assert (got.bits, got.groupsize, got.in_features, got.out_features) == (
+            layer.bits, layer.groupsize, layer.in_features, layer.out_features)
+        want, have = packed_tensors(layer, name), packed_tensors(got, name)
+        assert want.keys() == have.keys()
+        assert all(want[k].dtype == have[k].dtype and want[k].tobytes() == have[k].tobytes()
+                   for k in want)
+        ref = a @ dequantize_packed(got)
+        one, two = (quant_matmul(a, got, TileConfig(8, 8, 16, workers=w)) for w in (1, 2))
+        assert one.tobytes() == two.tobytes()
+        assert np.linalg.norm(one - ref) <= 1e-5 * max(np.linalg.norm(ref), 1e-30)

@@ -59,7 +59,7 @@ def row_loop_gptq(W, H, cfg):
         err = (work[i] - (q - z) * s) / u[i, i]
         if i + 1 < n_rows:
             work[i + 1 :] -= np.outer(u[i, i + 1 :], err)
-    return QuantizedMatrix(qint, params, cfg.bits)
+    return QuantizedMatrix(qint, params, cfg.bits, cfg.groupsize)
 
 
 def lu_inverse_hessian_factor(H):
@@ -250,7 +250,7 @@ class TestDequantize:
             zeros=np.array([[1, 2, 3]], dtype=np.int32),
             g_idx=np.zeros(4, dtype=np.int32),
         )
-        q = QuantizedMatrix(np.tile([1, 2, 3], (4, 1)).astype(np.int32), params, 4)
+        q = QuantizedMatrix(np.tile([1, 2, 3], (4, 1)).astype(np.int32), params, 4, -1)
         assert not dequantize_matrix(q).any()
 
     def test_scalar_arithmetic(self):
@@ -259,7 +259,7 @@ class TestDequantize:
             zeros=np.array([[1]], dtype=np.int32),
             g_idx=np.zeros(1, dtype=np.int32),
         )
-        q = QuantizedMatrix(np.array([[3]], dtype=np.int32), params, 4)
+        q = QuantizedMatrix(np.array([[3]], dtype=np.int32), params, 4, -1)
         assert dequantize_matrix(q)[0, 0] == 1.0
 
     def test_scalar_loop_oracle(self):
