@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, InvariantError, NumericError
+from .errors import InvariantError, NumericError
 from .model import SyntheticModel
 from .tensorio import check_matrix, file_invariants, load_container, typed_attr, write_container
 
@@ -135,22 +135,21 @@ def load_calibration(path) -> CalibrationSet:
     samples that break an invariant of `CalibrationSet`, is a FormatError.
     """
     tensors, attrs = load_container(path)
-    if attrs.get("schema") != "calibration/1":
-        raise FormatError(f"{path}: not a calibration container")
-    n = typed_attr(attrs, "num_samples", int, path)
-    module_id = typed_attr(attrs, "module_id", str, path)
-    samples = []
-    for k in range(n):
-        sample = tensors.pop(f"calib/samples/{k}", None)
-        if sample is None:
-            raise FormatError(f"{path}: tensor 'calib/samples/{k}' is missing")
-        samples.append(sample)
-    stray = sorted(name for name in tensors if not name.startswith("calib/aux/"))
-    if stray:
-        raise FormatError(
-            f"{path}: tensors {stray} are neither samples below num_samples nor "
-            "calib/aux/*"
-        )
-    aux = {name.removeprefix("calib/aux/"): t for name, t in tensors.items()}
     with file_invariants(path):
+        if attrs.get("schema") != "calibration/1":
+            raise InvariantError("not a calibration container")
+        n = typed_attr(attrs, "num_samples", int)
+        module_id = typed_attr(attrs, "module_id", str)
+        samples = []
+        for k in range(n):
+            sample = tensors.pop(f"calib/samples/{k}", None)
+            if sample is None:
+                raise InvariantError(f"tensor 'calib/samples/{k}' is missing")
+            samples.append(sample)
+        stray = sorted(name for name in tensors if not name.startswith("calib/aux/"))
+        if stray:
+            raise InvariantError(
+                f"tensors {stray} are neither samples below num_samples nor calib/aux/*"
+            )
+        aux = {name.removeprefix("calib/aux/"): t for name, t in tensors.items()}
         return CalibrationSet(module_id, samples, aux)

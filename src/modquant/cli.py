@@ -143,27 +143,27 @@ def _cmd_pack_roundtrip(args) -> int:
     return EXIT_OK
 
 
-def _parse_configs(path) -> list[TileConfig]:
+def _read_json(path, what):
+    """The JSON value in the file at `path`; unparsable text is a FormatError."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: cannot parse tile configs: {exc}") from exc
-    if not isinstance(raw, list):
-        raise FormatError(f"{path}: expected a JSON array of tile configs")
-    configs = []
-    for entry in raw:
-        if not isinstance(entry, dict) or any(
-            type(v) is not int for v in entry.values()
-        ):
-            raise FormatError(
-                f"{path}: tile config entry {entry!r} must map fields to integers"
-            )
+        raise FormatError(f"{path}: cannot parse {what}: {exc}") from exc
+
+
+def _parse_configs(path) -> list[TileConfig]:
+    raw = _read_json(path, "tile configs")
+    with file_invariants(path):
+        if not isinstance(raw, list):
+            raise InvariantError("expected a JSON array of tile configs")
+        for entry in raw:
+            if not isinstance(entry, dict) or any(type(v) is not int for v in entry.values()):
+                raise InvariantError(f"tile config entry {entry!r} must map fields to integers")
         try:
-            configs.append(TileConfig(**entry))
+            return [TileConfig(**entry) for entry in raw]
         except TypeError as exc:
-            raise FormatError(f"{path}: bad tile config entry: {exc}") from exc
-    return configs
+            raise InvariantError(f"bad tile config entry: {exc}") from exc
 
 
 def _cmd_bench(args) -> int:
@@ -195,11 +195,7 @@ def _cmd_size(args) -> int:
 
 
 def _cmd_eval_circular(args) -> int:
-    try:
-        with open(args.records) as fh:
-            records = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{args.records}: cannot parse records: {exc}") from exc
+    records = _read_json(args.records, "records")
     with file_invariants(args.records):
         acc = circular_eval_accuracy(records)
     print(f"{acc:g}")

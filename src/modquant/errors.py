@@ -6,7 +6,7 @@ class ModquantError(Exception):
 
 
 class FormatError(ModquantError):
-    """Malformed container file: bad magic, version, manifest, or payload."""
+    """Malformed input file: container bytes, JSON text, or contents."""
 
 
 class InvariantError(ModquantError):

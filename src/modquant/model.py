@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InvariantError
+from .errors import InvariantError
 from .tensorio import (
     check_matrix,
     file_invariants,
@@ -213,21 +213,17 @@ def load_model(path) -> SyntheticModel:
     invariant of `SyntheticModel` or its layers, is a FormatError.
     """
     tensors, attrs = load_container(path)
-    if attrs.get("schema") != "synthetic-model/1":
-        raise FormatError(f"{path}: not a synthetic-model container")
     with file_invariants(path):
-        vision_layers = list_attr(attrs, "vision_layers", str, path)
+        if attrs.get("schema") != "synthetic-model/1":
+            raise InvariantError("not a synthetic-model container")
+        vision_layers = list_attr(attrs, "vision_layers", str)
         layers = []
-        for entry in list_attr(attrs, "crossmodal_layers", dict, path):
-            where = f"{path}: cross-modal layer {entry.get('index')!r}"
-            groups = [
-                ComponentGroup(typed_attr(g, "kind", str, where),
-                               list_attr(g, "members", str, where))
-                for g in list_attr(entry, "groups", dict, where)
-            ]
-            layers.append(CrossModalLayer(typed_attr(entry, "index", int, where), groups))
-        embed_dims = list_attr(attrs, "embed_dims", int, path)
-        misc_params = 0
-        if "misc_params" in attrs:
-            misc_params = typed_attr(attrs, "misc_params", int, path)
+        for entry in list_attr(attrs, "crossmodal_layers", dict):
+            with file_invariants(f"{path}: cross-modal layer {entry.get('index')!r}"):
+                groups = [(typed_attr(g, "kind", str), list_attr(g, "members", str))
+                          for g in list_attr(entry, "groups", dict)]
+                index = typed_attr(entry, "index", int)
+            layers.append(CrossModalLayer(index, [ComponentGroup(*g) for g in groups]))
+        embed_dims = list_attr(attrs, "embed_dims", int)
+        misc_params = typed_attr(attrs, "misc_params", int) if "misc_params" in attrs else 0
         return SyntheticModel(vision_layers, layers, tensors, tuple(embed_dims), misc_params)

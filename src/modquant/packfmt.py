@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InvariantError
+from .errors import InvariantError
 from .quantcore import (
     SUPPORTED_BITS,
     QuantizedMatrix,
@@ -171,7 +171,7 @@ def pack_linear(q: QuantizedMatrix, bias: np.ndarray | None = None) -> PackedLin
         scales=scales,
         qzeros=pack_zeros(q.params.zeros, q.bits),
         g_idx=q.params.g_idx.astype(np.int32),
-        bias=None if bias is None else np.asarray(bias, dtype=np.float32).reshape(-1),
+        bias=None if bias is None else np.asarray(bias, dtype=np.float32),
         bits=q.bits,
         groupsize=q.groupsize,
         in_features=q.shape[0],
@@ -234,12 +234,12 @@ def packed_from_tensors(
 ) -> PackedLinear:
     """Build the layer under `prefix` from a container tensor map.
 
-    A missing tensor other than the bias is a FormatError; the layer's own
-    check rejects the rest (see `PackedLinear`) as an InvariantError.
+    A missing tensor other than the bias, and anything `PackedLinear`
+    rejects, is an InvariantError, which the loader reports against its file.
     """
     found = {name: tensors.get(f"{prefix}/{name}") for name in PACKED_TENSORS}
     for name in PACKED_TENSORS[:-1]:
         if found[name] is None:
-            raise FormatError(f"layer {prefix!r}: missing tensor {name!r}")
+            raise InvariantError(f"missing tensor {name!r}")
     return PackedLinear(**found, bits=bits, groupsize=groupsize,
                         in_features=in_features, out_features=out_features)

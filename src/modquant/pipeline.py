@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CalibrationSet, hessian_from_samples
-from .errors import FormatError, InvariantError
+from .errors import InvariantError
 from .model import SyntheticModel
 from .packfmt import (
     PACKED_TENSORS,
@@ -33,15 +33,35 @@ from .quantcore import (
     proxy_loss,
     rtn_quantize,
 )
-from .tensorio import file_invariants, load_container, typed_attr, write_container
+from .tensorio import file_invariants, list_attr, load_container, typed_attr, write_container
 
 REPORT_SCHEMA_VERSION = 1
 
 
 @dataclass
 class QuantizedCheckpoint:
+    """Packed layers and their report: a map whose int `bits` and `groupsize`
+    are every layer's and whose `layers` list names each layer once with its
+    `in_features` and `out_features`; anything else is an InvariantError."""
+
     layers: dict[str, PackedLinear]
     report: dict
+
+    def __post_init__(self):
+        report = typed_attr(vars(self), "report", dict)
+        bits, groupsize = typed_attr(report, "bits", int), typed_attr(report, "groupsize", int)
+        for name, layer in self.layers.items():
+            if (layer.bits, layer.groupsize) != (bits, groupsize):
+                raise InvariantError(
+                    f"layer {name!r} is packed at bits {layer.bits}, groupsize "
+                    f"{layer.groupsize}, but the report says {bits}, {groupsize}"
+                )
+        listed = sorted((typed_attr(e, "name", str), typed_attr(e, "in_features", int),
+                         typed_attr(e, "out_features", int))
+                        for e in list_attr(report, "layers", dict))
+        held = sorted((n, layer.in_features, layer.out_features) for n, layer in self.layers.items())
+        if listed != held:
+            raise InvariantError(f"report 'layers' lists {listed}, but the layers are {held}")
 
 
 def _hash_samples(samples: list[np.ndarray]) -> str:
@@ -186,24 +206,18 @@ def size_report(
 
 
 def save_checkpoint(ckpt: QuantizedCheckpoint, path) -> None:
-    """Write `ckpt` so that `load_checkpoint` reads it back: the header's
-    bits and groupsize are the report's, and a layer packed at others is an
-    InvariantError before anything is written."""
-    bits, groupsize = ckpt.report["bits"], ckpt.report["groupsize"]
+    """Write `ckpt` so that `load_checkpoint` reads it back, after checking it
+    again: its report or layers may have changed since it was built."""
+    QuantizedCheckpoint(ckpt.layers, ckpt.report)
     tensors, layer_meta = {}, {}
     for name, layer in ckpt.layers.items():
-        if (layer.bits, layer.groupsize) != (bits, groupsize):
-            raise InvariantError(
-                f"layer {name!r} is packed at bits {layer.bits}, groupsize "
-                f"{layer.groupsize}, but the report says {bits}, {groupsize}"
-            )
         tensors.update(packed_tensors(layer, name))
         layer_meta[name] = {"in_features": layer.in_features,
                             "out_features": layer.out_features}
     attrs = {
         "schema": "quantized-checkpoint/1",
-        "bits": bits,
-        "groupsize": groupsize,
+        "bits": ckpt.report["bits"],
+        "groupsize": ckpt.report["groupsize"],
         "layers": layer_meta,
         "report": ckpt.report,
     }
@@ -214,31 +228,28 @@ def load_checkpoint(path) -> QuantizedCheckpoint:
     """Read a checkpoint written by `save_checkpoint`.
 
     A container of another schema, a missing or mistyped attribute (the
-    layers and the report must be maps), bits and groupsize that
-    `QuantConfig` rejects, a tensor outside `<layer>/{qweight, scales,
-    qzeros, g_idx, bias}` of a listed layer, and a layer with a missing
-    tensor or one that `PackedLinear` rejects (named in the message), is a
-    FormatError.
+    layers must be a map), bits and groupsize that `QuantConfig` rejects, a
+    tensor outside `<layer>/{qweight, scales, qzeros, g_idx, bias}` of a
+    listed layer, a layer with a missing tensor or one that `PackedLinear`
+    rejects (named in the message), and a report that `QuantizedCheckpoint`
+    rejects, is a FormatError.
     """
     tensors, attrs = load_container(path)
-    if attrs.get("schema") != "quantized-checkpoint/1":
-        raise FormatError(f"{path}: not a quantized-checkpoint container")
-    bits = typed_attr(attrs, "bits", int, path)
-    groupsize = typed_attr(attrs, "groupsize", int, path)
-    layer_meta = typed_attr(attrs, "layers", dict, path)
-    report = typed_attr(attrs, "report", dict, path)
     with file_invariants(path):
+        if attrs.get("schema") != "quantized-checkpoint/1":
+            raise InvariantError("not a quantized-checkpoint container")
+        bits, groupsize = typed_attr(attrs, "bits", int), typed_attr(attrs, "groupsize", int)
+        layer_meta = typed_attr(attrs, "layers", dict)
         QuantConfig(bits, groupsize)
-    stray = tensors.keys() - {f"{name}/{t}" for name in layer_meta for t in PACKED_TENSORS}
-    if stray:
-        raise FormatError(f"{path}: tensors {sorted(stray)} belong to no layer")
-    layers = {}
-    for name, meta in layer_meta.items():
-        where = f"{path}: layer {name!r}"
-        with file_invariants(where):
-            layers[name] = packed_from_tensors(
-                tensors, name, bits, groupsize,
-                typed_attr(meta, "in_features", int, where),
-                typed_attr(meta, "out_features", int, where),
-            )
-    return QuantizedCheckpoint(layers, report)
+        stray = tensors.keys() - {f"{name}/{t}" for name in layer_meta for t in PACKED_TENSORS}
+        if stray:
+            raise InvariantError(f"tensors {sorted(stray)} belong to no layer")
+        layers = {}
+        for name, meta in layer_meta.items():
+            with file_invariants(f"{path}: layer {name!r}"):
+                layers[name] = packed_from_tensors(
+                    tensors, name, bits, groupsize,
+                    typed_attr(meta, "in_features", int),
+                    typed_attr(meta, "out_features", int),
+                )
+        return QuantizedCheckpoint(layers, attrs.get("report"))

@@ -197,32 +197,28 @@ def load_container(path) -> tuple[dict[str, np.ndarray], dict]:
 
 @contextmanager
 def file_invariants(path):
-    """Re-raise an InvariantError met while building objects from the file
-    at `path` as a FormatError naming the path; other errors pass through."""
+    """Re-raise an InvariantError met in a reader of the file at `path` as a
+    FormatError naming the path; every reader checks its file inside this."""
     try:
         yield
     except InvariantError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def typed_attr(meta, key: str, kind: type, where):
+def typed_attr(meta, key: str, kind: type):
     """`meta[key]` when `meta` is a map and the value's type is exactly
-    `kind` (so a bool is not an int); otherwise a FormatError."""
+    `kind` (so a bool is not an int); otherwise an InvariantError."""
     value = meta.get(key) if isinstance(meta, dict) else None
     if type(value) is not kind:
-        raise FormatError(
-            f"{where}: attribute {key!r} must be a {kind.__name__}, got {value!r}"
-        )
+        raise InvariantError(f"attribute {key!r} must be a {kind.__name__}, got {value!r}")
     return value
 
 
-def list_attr(meta, key: str, item_kind: type, where) -> list:
-    """`typed_attr(meta, key, list, where)` whose items are all of type
-    exactly `item_kind`; otherwise a FormatError."""
-    items = typed_attr(meta, key, list, where)
+def list_attr(meta, key: str, item_kind: type) -> list:
+    """`typed_attr(meta, key, list)` whose items are all of type exactly
+    `item_kind`; otherwise an InvariantError."""
+    items = typed_attr(meta, key, list)
     if any(type(v) is not item_kind for v in items):
-        raise FormatError(
-            f"{where}: attribute {key!r} must list {item_kind.__name__} values, "
-            f"got {items!r}"
-        )
+        raise InvariantError(f"attribute {key!r} must list {item_kind.__name__} values, "
+                             f"got {items!r}")
     return items

@@ -288,11 +288,14 @@ def test_bench_with_trace(workspace, capsys):
     assert any(s["label"] == "tile" for s in spans)
 
 
-def test_bench_malformed_configs(workspace):
-    cfgs = workspace / "cfgs.json"
-    cfgs.write_text("{}")
-    assert main(["bench", "--m", "8", "--k", "16", "--d", "8",
-                 "--configs", str(cfgs)]) == 3
+def test_bench_malformed_configs(workspace, capsys):
+    for text in ["{}", '{"block_m": 8, "block_d": 8, "block_k": 8}',
+                 '[{"block_m": 8, "block_d": 8, "block_k": 8, "tile": 8}]']:
+        cfgs = workspace / "cfgs.json"
+        cfgs.write_text(text)
+        assert main(["bench", "--m", "8", "--k", "16", "--d", "8",
+                     "--configs", str(cfgs)]) == 3
+        assert str(cfgs) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ['"32"', "true", "32.0", "null"])

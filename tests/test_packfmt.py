@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -194,6 +195,9 @@ class TestPackLinear:
         q = rtn_quantize(seeded_random_matrix(8, 4, 1), QuantConfig(bits=4))
         with pytest.raises(InvariantError, match="bias"):
             pack_linear(q, bias=np.zeros(5, dtype=np.float32))
+        # Four values in a (2, 2) bias are still not the (4,) bias of 4 outputs.
+        with pytest.raises(InvariantError, match=re.escape("bias is float32 [2, 2]")):
+            pack_linear(q, bias=np.zeros((2, 2), dtype=np.float32))
 
     def test_divisibility_violation(self):
         q = rtn_quantize(seeded_random_matrix(10, 4, 1), QuantConfig(bits=4))

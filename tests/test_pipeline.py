@@ -289,6 +289,10 @@ def _meta(key, value=None):
     return lambda t, a: _attr(key, value)(t, a["layers"]["v"])
 
 
+def _report(key, value=None):
+    return lambda t, a: _attr(key, value)(t, a["report"])
+
+
 # A 64 x 24 4-bit layer "v" at groupsize 16 (G = 4) with a bias.
 CKPT_MUTATIONS = {
     "missing qweight": _drop("v/qweight"),
@@ -325,6 +329,9 @@ CKPT_MUTATIONS = {
     "missing in_features": _meta("in_features"),
     "in_features off by a word": _meta("in_features", 72),
     "out_features as float": _meta("out_features", 24.0),
+    "report bits 8": _report("bits", 8),
+    "report layers empty": _report("layers", []),
+    "report layer in_features 72": lambda t, a: a["report"]["layers"][0].update(in_features=72),
 }
 
 
@@ -341,7 +348,7 @@ def test_load_checkpoint_rejects_malformed_layer(tmp_path, mutation):
     tensors, attrs = load_container(path)
     CKPT_MUTATIONS[mutation](tensors, attrs)
     write_container(path, tensors, attrs)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=re.escape(str(path))):
         load_checkpoint(path)
 
 
@@ -356,6 +363,15 @@ def test_save_checkpoint_cannot_write_what_load_checkpoint_rejects(tmp_path):
     assert not path.exists()
     with pytest.raises(InvariantError, match="report says 8, 16"):
         save_checkpoint(QuantizedCheckpoint({"v": layer}, {**report, "bits": 8}), path)
+    assert not path.exists()
+    with pytest.raises(InvariantError, match="'bits'"):
+        no_bits = {k: v for k, v in report.items() if k != "bits"}
+        save_checkpoint(QuantizedCheckpoint({"v": layer}, no_bits), path)
+    assert not path.exists()
+    with pytest.raises(InvariantError, match="report says 8, 16"):
+        changed = QuantizedCheckpoint({"v": layer}, dict(report))
+        changed.report["bits"] = 8
+        save_checkpoint(changed, path)
     assert not path.exists()
 
 
