@@ -32,7 +32,6 @@ from .packfmt import (
     PackedLinear,
     dequantize_packed,
     estimate_packed_size,
-    lanes_per_word,
     pack_linear,
     pack_weights,
     pack_zeros,
@@ -55,6 +54,7 @@ from .quantcore import (
     dequantize_matrix,
     gptq_quantize,
     group_index,
+    lanes_per_word,
     proxy_loss,
     rtn_quantize,
 )

@@ -18,7 +18,6 @@ from .errors import FormatError, InvariantError, NumericError
 from .kernel import TileConfig, Tracer, autotune, quant_matmul
 from .model import generate_model, load_model, save_model
 from .packfmt import (
-    lanes_per_word,
     pack_linear,
     pack_weights,
     pack_zeros,
@@ -31,7 +30,7 @@ from .pipeline import (
     save_checkpoint,
     size_report,
 )
-from .quantcore import QuantConfig, rtn_quantize
+from .quantcore import QuantConfig, lanes_per_word, rtn_quantize
 from .tensorio import file_invariants, seeded_random_matrix
 
 EXIT_OK = 0
@@ -148,27 +147,28 @@ def _read_json(path, what):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: cannot parse {what}: {exc}") from exc
 
 
-def _parse_configs(path) -> list[TileConfig]:
+def _parse_configs(path, bits: int) -> list[TileConfig]:
+    """A non-empty JSON array of objects, each a TileConfig that fits `bits`."""
     raw = _read_json(path, "tile configs")
     with file_invariants(path):
-        if not isinstance(raw, list):
-            raise InvariantError("expected a JSON array of tile configs")
-        for entry in raw:
-            if not isinstance(entry, dict) or any(type(v) is not int for v in entry.values()):
-                raise InvariantError(f"tile config entry {entry!r} must map fields to integers")
+        if not isinstance(raw, list) or not raw or not all(isinstance(e, dict) for e in raw):
+            raise InvariantError("expected a non-empty JSON array of tile config objects")
         try:
-            return [TileConfig(**entry) for entry in raw]
+            configs = [TileConfig(**entry) for entry in raw]
         except TypeError as exc:
             raise InvariantError(f"bad tile config entry: {exc}") from exc
+        for c in configs:
+            c.validate(bits)
+    return configs
 
 
 def _cmd_bench(args) -> int:
-    candidates = _parse_configs(args.configs)
     cfg = QuantConfig(bits=args.bits, groupsize=-1)
+    candidates = _parse_configs(args.configs, args.bits)
     w = seeded_random_matrix(args.k, args.d, args.seed + 1)
     layer = pack_linear(rtn_quantize(w, cfg))
     best, table = autotune(args.m, layer, candidates, runs=args.runs,

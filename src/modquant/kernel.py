@@ -3,10 +3,11 @@
 The kernel computes A (M x K) times a packed K x D layer by B_M x B_D
 output tiles, each accumulating over B_K reduction slabs. Every slab of
 the weight tile is unpacked and dequantized in f32 on the fly; reduction
-tiles never split a 32-bit word because block_k is constrained to a
-multiple of f_int. Tiles own disjoint output regions, so worker threads
-write them without locks and results are byte-identical for any worker
-count.
+tiles never split a 32-bit word because `TileConfig.validate` requires
+block_k to be a multiple of f_int. Every call maps its tiles through a
+pool of `workers` threads; tiles own disjoint output regions and each
+accumulates straight into its own, so threads write without locks and
+results are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -22,39 +23,41 @@ from statistics import median
 import numpy as np
 
 from .errors import InvariantError
-from .packfmt import PackedLinear, lanes_per_word, unpack_weights
-from .quantcore import dequantize_codes
+from .packfmt import PackedLinear, unpack_weights
+from .quantcore import dequantize_codes, lanes_per_word
 from .tensorio import check_matrix, seeded_random_matrix
 
 _TILE_RANGE = (8, 256)
 
 
-def _pow2_in_range(v: int) -> bool:
-    lo, hi = _TILE_RANGE
-    return lo <= v <= hi and (v & (v - 1)) == 0
-
-
 @dataclass(frozen=True)
 class TileConfig:
+    """B_M x B_D output tiles, B_K reduction slabs, and worker threads.
+    Building one checks every field: an int (a bool is not), each block a
+    power of two in _TILE_RANGE, workers >= 1."""
+
     block_m: int
     block_d: int
     block_k: int
     workers: int = 1
 
+    def __post_init__(self):
+        lo, hi = _TILE_RANGE
+        for name, v in self.as_dict().items():
+            if type(v) is not int:
+                raise InvariantError(f"{name} must be an integer, got {v!r}")
+            if name != "workers" and not (lo <= v <= hi and v & (v - 1) == 0):
+                raise InvariantError(f"{name} = {v} must be a power of two in {_TILE_RANGE}")
+        if self.workers < 1:
+            raise InvariantError("workers must be >= 1")
+
     def validate(self, bits: int) -> None:
-        for name, v in (("block_m", self.block_m), ("block_d", self.block_d),
-                        ("block_k", self.block_k)):
-            if not _pow2_in_range(v):
-                raise InvariantError(
-                    f"{name} = {v} must be a power of two in {_TILE_RANGE}"
-                )
+        """The rule that needs the bit width: block_k splits no packed word."""
         f_int = lanes_per_word(bits)
         if self.block_k % f_int != 0:
             raise InvariantError(
                 f"block_k = {self.block_k} must be a multiple of f_int = {f_int}"
             )
-        if self.workers < 1:
-            raise InvariantError("workers must be >= 1")
 
     def as_dict(self) -> dict:
         return {"block_m": self.block_m, "block_d": self.block_d,
@@ -155,20 +158,15 @@ def quant_matmul(
         def run_tile(tile):
             m0, m1, d0, d1 = tile
             with trace.span("tile", root.span_id) as tspan:
-                acc = np.zeros((m1 - m0, d1 - d0), dtype=np.float32)
+                acc = out[m0:m1, d0:d1]
                 for k0 in range(0, k, cfg.block_k):
                     k1 = min(k0 + cfg.block_k, k)
                     with trace.span("dequant", tspan.span_id):
                         b_tile = _dequant_slab(layer, k0, k1, d0, d1, zeros, scales)
                     acc += A[m0:m1, k0:k1] @ b_tile
-                out[m0:m1, d0:d1] = acc
 
-        if cfg.workers > 1 and len(tiles) > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                list(pool.map(run_tile, tiles))
-        else:
-            for tile in tiles:
-                run_tile(tile)
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            list(pool.map(run_tile, tiles))
         if layer.bias is not None:
             with trace.span("bias_add", root.span_id):
                 out += layer.bias
@@ -186,26 +184,20 @@ def autotune(
     """Pick the candidate with the lowest median wall time on a seeded
     m x layer.in_features A.
 
-    One warmup execution per candidate, then `runs` timed executions; the
-    clock is injectable so selection is reproducible under test.
+    A candidate that does not fit the layer's bits raises before any is
+    timed. One warmup execution per candidate, then `runs` timed
+    executions; the clock is injectable so selection is reproducible.
     """
     if not candidates:
         raise InvariantError("candidate list is empty")
     if runs < 3:
         raise InvariantError(f"runs must be >= 3, got {runs}")
-    valid = []
     for c in candidates:
-        try:
-            c.validate(layer.bits)
-        except InvariantError:
-            continue
-        valid.append(c)
-    if not valid:
-        raise InvariantError("no candidate satisfies the tile invariants")
+        c.validate(layer.bits)
 
     A = seeded_random_matrix(m, layer.in_features, seed)
     table: dict[TileConfig, float] = {}
-    for c in valid:
+    for c in candidates:
         quant_matmul(A, layer, c)  # warmup
         times = []
         for _ in range(runs):
@@ -213,5 +205,5 @@ def autotune(
             quant_matmul(A, layer, c)
             times.append(clock() - t0)
         table[c] = float(median(times))
-    best = min(valid, key=lambda c: table[c])
+    best = min(candidates, key=lambda c: table[c])
     return best, table

@@ -15,18 +15,12 @@ import numpy as np
 
 from .errors import InvariantError
 from .quantcore import (
-    SUPPORTED_BITS,
     QuantizedMatrix,
     dequantize_codes,
     group_index,
+    lanes_per_word,
     rows_per_group,
 )
-
-
-def lanes_per_word(bits: int) -> int:
-    if bits not in SUPPORTED_BITS:
-        raise InvariantError(f"bits must be one of {SUPPORTED_BITS}, got {bits}")
-    return 32 // bits
 
 
 def _check_codes(grid: np.ndarray, bits: int) -> np.ndarray:

@@ -28,6 +28,13 @@ GPTQ_SUB_BLOCK = 16
 TRI_INV_LEAF = 64
 
 
+def lanes_per_word(bits: int) -> int:
+    """Codes per 32-bit packed word, f_int = 32 / bits; the bit-width rule."""
+    if bits not in SUPPORTED_BITS:
+        raise InvariantError(f"bits must be one of {SUPPORTED_BITS}, got {bits}")
+    return 32 // bits
+
+
 @dataclass(frozen=True)
 class QuantConfig:
     bits: int = 4
@@ -36,12 +43,8 @@ class QuantConfig:
     damp_ratio: float = 0.01
 
     def __post_init__(self):
-        if self.bits not in SUPPORTED_BITS:
-            raise InvariantError(
-                f"bits must be one of {SUPPORTED_BITS}, got {self.bits}"
-            )
-        if self.groupsize != -1 and self.groupsize < 1:
-            raise InvariantError(f"groupsize must be positive or -1, got {self.groupsize}")
+        lanes_per_word(self.bits)
+        rows_per_group(1, self.groupsize)
         if not math.isfinite(self.damp_ratio) or self.damp_ratio <= 0:
             raise InvariantError(
                 f"damp_ratio must be finite and > 0, got {self.damp_ratio}"

@@ -141,7 +141,7 @@ def load_container(path) -> tuple[dict[str, np.ndarray], dict]:
     manifest_len, body = _read_body(path)
     try:
         manifest = json.loads(body[:manifest_len].tobytes().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: malformed manifest: {exc}") from exc
     if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), dict):
         raise FormatError(f"{path}: manifest missing 'tensors' map")

@@ -66,6 +66,13 @@ def test_eval_circular_malformed_records(tmp_path, capsys, records):
     assert "passes" in capsys.readouterr().err
 
 
+def test_eval_circular_deeply_nested_records_is_format_error(tmp_path, capsys):
+    rec = tmp_path / "rec.json"
+    rec.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["eval-circular", "--records", str(rec)]) == 3
+    assert str(rec) in capsys.readouterr().err
+
+
 def test_eval_circular_binary_records_is_format_error(tmp_path):
     rec = tmp_path / "rec.json"
     rec.write_bytes(bytes(range(128, 256)))
@@ -289,13 +296,25 @@ def test_bench_with_trace(workspace, capsys):
 
 
 def test_bench_malformed_configs(workspace, capsys):
-    for text in ["{}", '{"block_m": 8, "block_d": 8, "block_k": 8}',
-                 '[{"block_m": 8, "block_d": 8, "block_k": 8, "tile": 8}]']:
+    valid = '{"block_m": 8, "block_d": 8, "block_k": 8}'
+    bad_block = '{"block_m": 3, "block_d": 8, "block_k": 8}'
+    for text, bits in [("{}", 4), (valid, 4),
+                       ('[{"block_m": 8, "block_d": 8, "block_k": 8, "tile": 8}]', 4),
+                       ("[]", 4), (f"[{bad_block}]", 4), (f"[{valid}, {bad_block}]", 4),
+                       (f"[{valid}]", 2), ("[" * 100_000 + "]" * 100_000, 4)]:
         cfgs = workspace / "cfgs.json"
         cfgs.write_text(text)
-        assert main(["bench", "--m", "8", "--k", "16", "--d", "8",
-                     "--configs", str(cfgs)]) == 3
+        assert main(["bench", "--m", "8", "--k", "16", "--d", "8", "--bits", str(bits),
+                     "--configs", str(cfgs)]) == 3, text[:80]
         assert str(cfgs) in capsys.readouterr().err
+
+
+def test_bench_bits_3_is_invariant_error_before_configs_are_read(workspace, capsys):
+    cfgs = workspace / "cfgs.json"
+    cfgs.write_text('[{"block_m": 8, "block_d": 8, "block_k": 8}]')
+    assert main(["bench", "--m", "8", "--k", "16", "--d", "8", "--bits", "3",
+                 "--configs", str(cfgs)]) == 4
+    assert "bits must be one of" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ['"32"', "true", "32.0", "null"])

@@ -50,6 +50,14 @@ class TestTileConfig:
         with pytest.raises(InvariantError):
             TileConfig(*bad).validate(4)
 
+    @pytest.mark.parametrize("bad", [
+        (7, 8, 8), (8, 300, 8), (8, 8, 4), (True, 8, 8), (32.0, 8, 8),
+        ("32", 8, 8), (None, 8, 8), (8, 8, 8, 0), (8, 8, 8, -1), (8, 8, 8, True),
+    ])
+    def test_construction_checks_every_field(self, bad):
+        with pytest.raises(InvariantError):
+            TileConfig(*bad)
+
     def test_block_k_word_alignment(self):
         TileConfig(8, 8, 16).validate(2)  # f_int = 16
         with pytest.raises(InvariantError):
@@ -355,6 +363,16 @@ class TestAutotune:
         layer = packed_layer(16, 8, 20)
         with pytest.raises(InvariantError):
             autotune(8, layer, [], runs=3)
+
+    def test_invalid_candidate_raises_before_any_is_timed(self):
+        layer = packed_layer(32, 16, 22, bits=2)
+
+        def clock():
+            raise AssertionError("a candidate was timed")
+
+        with pytest.raises(InvariantError, match="block_k = 8"):
+            autotune(8, layer, [TileConfig(8, 8, 16), TileConfig(8, 8, 8)], runs=3,
+                     clock=clock)
 
     def test_all_invalid_candidates(self):
         layer = packed_layer(16, 8, 21)

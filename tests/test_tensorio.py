@@ -172,8 +172,14 @@ def test_corrupt_manifest_fuzz(tmp_path):
             assert t.size in (0, 16)
 
 
+# Where this stands in a manifest, _write_raw writes a list nested deeper
+# than the JSON parser can go (json.dumps cannot write one).
+DEEP = "<deep list>"
+
+
 def _write_raw(path, manifest, payload):
-    raw = json.dumps(manifest).encode("utf-8")
+    deep = "[" * 100_000 + "]" * 100_000
+    raw = json.dumps(manifest).replace(json.dumps(DEEP), deep).encode("utf-8")
     path.write_bytes(struct.pack("<4sIQ", b"CMDQ", 1, len(raw)) + raw + payload)
 
 
@@ -199,11 +205,12 @@ def _entry(shape, offset=0, length=None, dtype="f32"):
         ({"x": _entry([1])}, [1], bytes(4)),
         ({"x": _entry([2**70], length=4)}, {}, bytes(4)),
         ({"x": _entry([float("inf")], length=4)}, {}, bytes(4)),
+        ({"x": _entry([1])}, {"names": DEEP}, bytes(4)),
     ],
     ids=["negative-dim-and-length", "negative-dims", "negative-offset",
          "tensors-not-a-map", "entry-not-a-map", "3-d", "0-d", "gap",
          "trailing-bytes", "overlap", "attrs-not-a-map", "dim-over-int64",
-         "infinite-dim"],
+         "infinite-dim", "nested-too-deep"],
 )
 def test_bad_manifest_is_format_error(tmp_path, tensors, attrs, payload):
     path = tmp_path / "c.bin"
