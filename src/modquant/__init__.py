@@ -35,7 +35,6 @@ from .packfmt import (
     pack_linear,
     pack_weights,
     pack_zeros,
-    unpack_value,
     unpack_weights,
     unpack_zeros,
 )

@@ -239,6 +239,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise InvariantError(f"--seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.command](args)
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)

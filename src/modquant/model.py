@@ -71,7 +71,7 @@ class SyntheticModel:
         """InvariantError unless names are unique, every name has a weight and
         every weight a name, weights are finite 2-D f32 matrices, `embed_dims`
         holds two dims, `misc_params` >= 0, and the shapes chain as the
-        forward passes and the pipeline use them: the vision stack from D_V,
+        forward passes and `hessian_blocks` use them: the vision stack from D_V,
         each layer reading the previous one's output; D_M fed to the
         cross-modal layers, by the last vision layer or as D_V; every
         cross-modal member reading D_M, each group's first writing D_M."""
@@ -115,22 +115,47 @@ class SyntheticModel:
                 for name in group.members:
                     expect(name, 0, d_m, "D_M")
 
+    def hessian_blocks(self, vision_samples, crossmodal_samples):
+        """Yield (module, layer_index, [(name, group_kind)], samples) for each
+        Hessian block in processing order: one block per vision layer, then
+        one per cross-modal layer holding all eight members. Each block's
+        samples are its module's calibration propagated through the original
+        weights of the earlier layers. Sample dims that do not match D_V or
+        D_M, for a module with layers, are an InvariantError before the
+        first block; empty sample lists read no weight."""
+        for what, dim_name, k, samples, layers in (
+                ("vision", "D_V", 0, vision_samples, self.vision_layers),
+                ("cross-modal", "D_M", 1, crossmodal_samples, self.crossmodal_layers)):
+            for s in samples if layers else ():
+                if s.shape[1] != self.embed_dims[k]:
+                    raise InvariantError(f"{what} calibration dim {s.shape[1]} != "
+                                         f"{dim_name} {self.embed_dims[k]}")
+        samples = vision_samples
+        for i, name in enumerate(self.vision_layers):
+            if i:
+                samples = [s @ self.weights[self.vision_layers[i - 1]] for s in samples]
+            yield "vision", i, [(name, None)], samples
+        samples = crossmodal_samples
+        for layer in self.crossmodal_layers:
+            yield ("crossmodal", layer.index,
+                   [(name, g.group_kind) for g in layer.groups for name in g.members], samples)
+            # Dead work after the last layer, kept: the benchmark self-test needs this hook.
+            samples = [self.forward_crossmodal_layer(layer, s) for s in samples]
+
     def matrix_names(self) -> list[str]:
-        """Every quantized weight matrix, vision layers first."""
-        return list(self.vision_layers) + [
-            m for layer in self.crossmodal_layers for g in layer.groups for m in g.members
-        ]
+        """Every quantized weight matrix, in the order of `hessian_blocks`."""
+        return [name for *_, members, _ in self.hessian_blocks([], []) for name, _ in members]
 
     def forward_vision(self, x: np.ndarray) -> np.ndarray:
         """Propagate activations through the full vision stack."""
         for name in self.vision_layers:
-            x = (x @ self.weights[name]).astype(np.float32)
+            x = x @ self.weights[name]
         return x
 
     def forward_crossmodal_layer(self, layer: CrossModalLayer, x: np.ndarray) -> np.ndarray:
         """One cross-modal layer: apply each group's first member in order."""
         for group in layer.groups:
-            x = (x @ self.weights[group.members[0]]).astype(np.float32)
+            x = x @ self.weights[group.members[0]]
         return x
 
 

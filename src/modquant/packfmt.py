@@ -97,14 +97,6 @@ def unpack_zeros(qzeros: np.ndarray, bits: int, out_cols: int) -> np.ndarray:
     return np.ascontiguousarray(unpack_weights(w.T, bits)[:out_cols].T)
 
 
-def unpack_value(word: int, lane: int, bits: int) -> int:
-    """Single-lane unpack: (word >> (lane * N)) & (2^N - 1), lane < f_int."""
-    f_int = lanes_per_word(bits)
-    if not 0 <= lane < f_int:
-        raise InvariantError(f"lane {lane} out of range for f_int = {f_int}")
-    return (int(word) >> (lane * bits)) & ((1 << bits) - 1)
-
-
 # Container tensor names of a packed layer, in write order; bias is optional.
 PACKED_TENSORS = ("qweight", "scales", "qzeros", "g_idx", "bias")
 

@@ -1,10 +1,11 @@
 """Modality-partitioned quantization pipeline and evaluation metrics.
 
-Vision encoder layers are quantized first, from vision calibration only;
-cross-modal layers follow, group by group in the fixed order attn_qkv ->
-attn_out -> mlp_gate_up -> mlp_down. All four groups of a layer consume
-the identical calibration input tensor (captured from the original,
-unquantized forward pass), and vision quantization never reads any
+The model lists its Hessian blocks in processing order, each with the
+calibration input its members read (`SyntheticModel.hessian_blocks`):
+vision layers first, from vision calibration only, then cross-modal
+layers with their groups in the fixed order attn_qkv -> attn_out ->
+mlp_gate_up -> mlp_down. The pipeline quantizes each block against one
+Hessian of that input, so vision quantization never reads any
 cross-modal calibration state.
 """
 
@@ -85,22 +86,10 @@ def quantize_model(
             "calibration sets must come from the vision and crossmodal modules, "
             f"got {calib_v.module_id!r} and {calib_m.module_id!r}"
         )
-    d_v, d_m = model.embed_dims
-    if model.vision_layers and calib_v.feature_dim != d_v:
-        raise InvariantError(
-            f"vision calibration dim {calib_v.feature_dim} != D_V {d_v}"
-        )
-    if model.crossmodal_layers and calib_m.feature_dim != d_m:
-        raise InvariantError(
-            f"cross-modal calibration dim {calib_m.feature_dim} != D_M {d_m}"
-        )
-
     layers: dict[str, PackedLinear] = {}
     entries = []
-
-    def quantize_block(samples, module, layer_idx, members):
-        """Quantize `members`, (name, group) pairs of matrices that all read
-        `samples`, against one Hessian and, for GPTQ, one factor of it."""
+    for module, layer_idx, members, samples in model.hessian_blocks(calib_v.samples,
+                                                                    calib_m.samples):
         calib_hash = _hash_samples(samples)
         n_in = model.weights[members[0][0]].shape[0]
         hessian = hessian_from_samples(samples, n_in, cfg.damp_ratio)
@@ -126,24 +115,6 @@ def quantize_model(
                     weight.shape[0], weight.shape[1], cfg.bits, cfg.groupsize
                 ),
             })
-
-    # Vision phase: each layer's calibration is the vision calibration
-    # propagated through the preceding original-weight layers. Samples are
-    # only read, so they are used in place.
-    samples = calib_v.samples
-    last = len(model.vision_layers) - 1
-    for i, name in enumerate(model.vision_layers):
-        quantize_block(samples, "vision", i, [(name, None)])
-        if i < last:
-            samples = [(s @ model.weights[name]).astype(np.float32) for s in samples]
-
-    # Cross-modal phase: every member of a layer reads the layer's input,
-    # so the whole layer is one block.
-    samples = calib_m.samples
-    for layer in model.crossmodal_layers:
-        quantize_block(samples, "crossmodal", layer.index,
-                       [(name, g.group_kind) for g in layer.groups for name in g.members])
-        samples = [model.forward_crossmodal_layer(layer, s) for s in samples]
 
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,

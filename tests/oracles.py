@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from modquant import InvariantError, QuantizedMatrix
+from modquant import InvariantError, QuantizedMatrix, lanes_per_word
 from modquant.tensorio import check_matrix
 
 
@@ -42,3 +42,11 @@ def shift_or_pack(grid: np.ndarray, bits: int) -> np.ndarray:
     shifts = (bits * np.arange(f_int, dtype=np.uint32)).reshape(1, f_int, 1)
     lanes = g.reshape(rows // f_int, f_int, cols) << shifts
     return np.bitwise_or.reduce(lanes, axis=1).astype(np.uint32)
+
+
+def unpack_value(word: int, lane: int, bits: int) -> int:
+    """Single-lane unpack: (word >> (lane * N)) & (2^N - 1), lane < f_int."""
+    f_int = lanes_per_word(bits)
+    if not 0 <= lane < f_int:
+        raise InvariantError(f"lane {lane} out of range for f_int = {f_int}")
+    return (int(word) >> (lane * bits)) & ((1 << bits) - 1)

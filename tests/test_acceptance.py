@@ -33,10 +33,9 @@ from modquant import (
     seeded_random_matrix,
     size_report,
     synthetic_activations,
-    unpack_value,
     unpack_weights,
 )
-from oracles import reference_matmul
+from oracles import reference_matmul, unpack_value
 
 
 class Criterion:

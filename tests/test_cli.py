@@ -326,6 +326,24 @@ def test_bench_non_integer_config_field(workspace, capsys, value):
     assert "block_m" in capsys.readouterr().err
 
 
+NEGATIVE_SEED_COMMANDS = {
+    "gen-model": ["--vision-layers", "1", "--crossmodal-layers", "1", "--dim", "16",
+                  "--out", "{d}/m.bin"],
+    "gen-calib": ["--module", "vision", "--dim", "16", "--out", "{d}/c.bin"],
+    "pack-roundtrip": ["--bits", "4"],
+    "bench": ["--m", "8", "--k", "16", "--d", "8", "--configs", "{d}/cfgs.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NEGATIVE_SEED_COMMANDS))
+def test_negative_seed_is_invariant_error(tmp_path, capsys, command):
+    (tmp_path / "cfgs.json").write_text('[{"block_m": 8, "block_d": 8, "block_k": 8}]')
+    args = [a.format(d=tmp_path) for a in NEGATIVE_SEED_COMMANDS[command]]
+    assert main([command, *args, "--seed", "-1"]) == 4
+    assert "--seed" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfgs.json"]
+
+
 def test_gen_model_deterministic(tmp_path):
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
     args = ["gen-model", "--vision-layers", "1", "--crossmodal-layers", "1",

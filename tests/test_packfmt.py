@@ -21,12 +21,11 @@ from modquant import (
     pack_zeros,
     rtn_quantize,
     seeded_random_matrix,
-    unpack_value,
     unpack_weights,
     unpack_zeros,
 )
 from modquant.packfmt import packed_from_tensors, packed_tensors
-from oracles import shift_or_pack
+from oracles import shift_or_pack, unpack_value
 
 
 def random_codes(rng, rows, cols, bits):

@@ -157,6 +157,81 @@ class TestQuantizeModel:
         per_member = [factors[0], factors[1]] + [factors[2]] * 8 + [factors[3]] * 8
         assert all(got is want for got, want in zip(gptq_factors, per_member))
 
+    def test_hessian_blocks_walk_the_model(self, model):
+        v, m = calib("vision", 10).samples, calib("crossmodal", 20).samples
+        w = model.weights
+
+        def chain(xs, names):
+            for name in names:
+                xs = [x @ w[name] for x in xs]
+            return xs
+
+        def members(j):
+            return [(f"crossmodal.{j}.{kind}.{suffix}", kind) for kind, suffixes in (
+                ("attn_qkv", ("q_proj", "k_proj", "v_proj", "expert_qkv")),
+                ("attn_out", ("o_proj",)),
+                ("mlp_gate_up", ("gate_proj", "up_proj")),
+                ("mlp_down", ("down_proj",))) for suffix in suffixes]
+
+        firsts = [f"crossmodal.0.{g}" for g in
+                  ("attn_qkv.q_proj", "attn_out.o_proj", "mlp_gate_up.gate_proj",
+                   "mlp_down.down_proj")]
+        expected = [("vision", 0, [("vision.0.proj", None)], v),
+                    ("vision", 1, [("vision.1.proj", None)], chain(v, ["vision.0.proj"])),
+                    ("crossmodal", 0, members(0), m),
+                    ("crossmodal", 1, members(1), chain(m, firsts))]
+        blocks = list(model.hessian_blocks(v, m))
+        assert [b[:3] for b in blocks] == [e[:3] for e in expected]
+        for (*_, got), (*_, want) in zip(blocks, expected):
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, x) for g, x in zip(got, want))
+        assert [n for b in blocks for n, _ in b[2]] == model.matrix_names()
+
+    @pytest.mark.parametrize("module", ["vision", "cross-modal"])
+    def test_hessian_blocks_reject_calibration_dims_before_the_first_block(
+            self, model, module):
+        good, bad = calib("vision", 10).samples, [seeded_random_matrix(4, DIM + 1, 0)]
+        v, m = (bad, good) if module == "vision" else (good, bad)
+        with pytest.raises(InvariantError, match=f"{module} calibration dim {DIM + 1}"):
+            next(model.hessian_blocks(v, m))
+
+    def test_pipeline_follows_the_models_blocks(self, checkpoint, monkeypatch, tmp_path):
+        # Split each cross-modal layer into its four groups, all reading the
+        # layer input: 2 + 2 x 4 = 10 blocks, one factor each.
+        split = generate_model(2, 2, DIM, seed=0, misc_params=500)
+        walk = split.hessian_blocks
+
+        def per_group(vision_samples, crossmodal_samples):
+            for module, index, members, samples in walk(vision_samples, crossmodal_samples):
+                for kind in dict.fromkeys(g for _, g in members):
+                    yield module, index, [(n, g) for n, g in members if g == kind], samples
+
+        factors, gptq_factors = [], []
+        factorize, gptq = pipeline.inverse_hessian_factor, pipeline.gptq_quantize
+
+        def counting_factorize(h):
+            factors.append(factorize(h))
+            return factors[-1]
+
+        def recording_gptq(w, h, cfg, *, factor=None):
+            gptq_factors.append(factor)
+            return gptq(w, h, cfg, factor=factor)
+
+        monkeypatch.setattr(split, "hessian_blocks", per_group)
+        monkeypatch.setattr(pipeline, "inverse_hessian_factor", counting_factorize)
+        monkeypatch.setattr(pipeline, "gptq_quantize", recording_gptq)
+        ck = quantize_model(split, calib("vision", 10), calib("crossmodal", 20), CFG)
+        keys = [(e["module"], e["layer_index"], e["group"]) for e in ck.report["layers"]]
+        blocks = list(dict.fromkeys(keys))
+        assert len(factors) == len(blocks) == 10
+        assert all(got is factors[blocks.index(k)] for got, k in zip(gptq_factors, keys))
+        save_checkpoint(ck, tmp_path / "split.bin")
+        save_checkpoint(checkpoint, tmp_path / "layer.bin")
+        assert (tmp_path / "split.bin").read_bytes() == (tmp_path / "layer.bin").read_bytes()
+
+    def test_processing_order_is_the_models_matrix_order(self, model, checkpoint):
+        assert checkpoint.report["processing_order"] == model.matrix_names()
+
     def test_deterministic(self, model, checkpoint, tmp_path):
         again = quantize_model(model, calib("vision", 10), calib("crossmodal", 20), CFG)
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
