@@ -53,6 +53,7 @@ from .quantcore import (
     dequantize_matrix,
     gptq_quantize,
     group_index,
+    inverse_hessian_factor,
     lanes_per_word,
     proxy_loss,
     rtn_quantize,

@@ -33,10 +33,6 @@ class CalibrationSet:
         if len(dims) > 1:
             raise InvariantError(f"samples disagree on feature dimension: {dims}")
 
-    @property
-    def feature_dim(self) -> int:
-        return self.samples[0].shape[1]
-
 
 def hessian_from_samples(samples, dim: int, damp_ratio: float) -> np.ndarray:
     """Damped Hessian H + lambda*I, with H = 2 * X^T X summed over `samples`

@@ -58,8 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--rtn", action="store_true",
                    help="round-to-nearest baseline instead of Hessian-weighted")
     q.add_argument("--out", required=True)
-    q.add_argument("--report", default=None,
-                   help="report JSON path (default: <out>.report.json)")
 
     r = sub.add_parser("pack-roundtrip", help="bit-packing smoke test")
     r.add_argument("--bits", type=int, required=True)
@@ -112,8 +110,7 @@ def _cmd_quantize(args) -> int:
     method = "rtn" if args.rtn else "gptq"
     ckpt = quantize_model(model, calib_v, calib_m, cfg, method=method)
     save_checkpoint(ckpt, args.out)
-    report_path = args.report or f"{args.out}.report.json"
-    with open(report_path, "w") as fh:
+    with open(f"{args.out}.report.json", "w") as fh:
         json.dump(ckpt.report, fh, indent=2, sort_keys=True)
     print(f"quantized {len(ckpt.layers)} layers -> {args.out}")
     return EXIT_OK

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -93,13 +94,11 @@ def quantize_model(
         calib_hash = _hash_samples(samples)
         n_in = model.weights[members[0][0]].shape[0]
         hessian = hessian_from_samples(samples, n_in, cfg.damp_ratio)
-        factor = inverse_hessian_factor(hessian) if method == "gptq" else None
+        quantize = (partial(gptq_quantize, factor=inverse_hessian_factor(hessian))
+                    if method == "gptq" else rtn_quantize)
         for name, group in members:
             weight = model.weights[name]
-            if method == "gptq":
-                q = gptq_quantize(weight, hessian, cfg, factor=factor)
-            else:
-                q = rtn_quantize(weight, cfg)
+            q = quantize(weight, cfg)
             layers[name] = pack_linear(q)
             entries.append({
                 "name": name,

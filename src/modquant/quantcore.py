@@ -167,15 +167,17 @@ def dequantize_matrix(q: QuantizedMatrix) -> np.ndarray:
     return dequantize_codes(q.qint.copy(), p.g_idx, p.zeros, p.scales)
 
 
-def gptq_quantize(
-    W: np.ndarray, H: np.ndarray, cfg: QuantConfig, *, factor: np.ndarray | None = None
-) -> QuantizedMatrix:
+def gptq_quantize(W: np.ndarray, cfg: QuantConfig, *, factor: np.ndarray) -> QuantizedMatrix:
     """Sequential Hessian-weighted quantization with error compensation.
+
+    `factor` is `inverse_hessian_factor(H)`, the upper Cholesky factor of
+    H^-1 and the only form of the Hessian the sweep reads; matrices that
+    share one Hessian share one factor.
 
     Input rows are processed in natural order against group parameters
     fitted on the original weights; after snapping row i, the residual is
-    propagated into rows > i through the upper Cholesky factor of H^-1,
-    the step that lets later rows absorb earlier rounding error.
+    propagated into rows > i through the factor, the step that lets later
+    rows absorb earlier rounding error.
 
     The propagation is lazy (GPTQ's batch update) on two levels: rows are
     swept in blocks of GPTQ_BLOCK split into sub-blocks of GPTQ_SUB_BLOCK,
@@ -187,24 +189,14 @@ def gptq_quantize(
     The snap clips round(w / s) to [-z, maxq - z] and adds z back, which
     equals clip(round(w / s) + z, 0, maxq) exactly: every term is an
     integer held in f64.
-
-    `factor` is `inverse_hessian_factor(H)` when the caller already has it,
-    e.g. for several matrices that share one Hessian.
     """
     W = check_matrix(W)
     n_rows, n_cols = W.shape
-    if np.shape(H) != (n_rows, n_rows):
-        raise InvariantError(
-            f"Hessian shape {np.shape(H)} does not match weight rows {n_rows}"
-        )
-    if factor is None:
-        u = inverse_hessian_factor(H)
-    elif np.shape(factor) != (n_rows, n_rows):
+    if np.shape(factor) != (n_rows, n_rows):
         raise InvariantError(
             f"factor shape {np.shape(factor)} does not match weight rows {n_rows}"
         )
-    else:
-        u = np.asarray(factor, dtype=np.float64)
+    u = np.asarray(factor, dtype=np.float64)
     params = compute_group_params(W, cfg)
 
     work = W.astype(np.float64)

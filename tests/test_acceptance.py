@@ -22,6 +22,7 @@ from modquant import (
     generate_model,
     gptq_quantize,
     hessian_from_samples,
+    inverse_hessian_factor,
     lanes_per_word,
     load_container,
     pack_linear,
@@ -128,7 +129,7 @@ def test_criterion_4_gptq_dominance():
             h = hessian_from_samples(
                 [synthetic_activations(64, dim, 3_000 + t)], dim, 0.01
             )
-            lg = proxy_loss(w, gptq_quantize(w, h, cfg), h)
+            lg = proxy_loss(w, gptq_quantize(w, cfg, factor=inverse_hessian_factor(h)), h)
             lr = proxy_loss(w, rtn_quantize(w, cfg), h)
             wins += lg <= lr + 1e-6 * abs(lr)
         assert wins >= 0.99 * total, f"dominance in only {wins}/{total}"
@@ -138,7 +139,8 @@ def test_criterion_4_gptq_dominance():
             h = np.array([[2.0]], dtype=np.float32)
             cfg = QuantConfig(bits=4)
             assert np.array_equal(
-                gptq_quantize(w, h, cfg).qint, rtn_quantize(w, cfg).qint
+                gptq_quantize(w, cfg, factor=inverse_hessian_factor(h)).qint,
+                rtn_quantize(w, cfg).qint,
             )
 
 

@@ -192,6 +192,17 @@ def test_quantize_rejects_bits_3(workspace):
     assert rc == 4
 
 
+def test_quantize_report_path_is_not_an_option(workspace):
+    # The report always goes to <out>.report.json.
+    rc = main(["quantize", "--model", str(workspace / "model.bin"),
+               "--calib-v", str(workspace / "cv.bin"),
+               "--calib-m", str(workspace / "cm.bin"),
+               "--bits", "4", "--out", str(workspace / "x.bin"),
+               "--report", str(workspace / "r.json")])
+    assert rc == 2
+    assert not (workspace / "x.bin").exists()
+
+
 @pytest.mark.parametrize("damp", ["nan", "inf"])
 def test_quantize_rejects_non_finite_damp_ratio(workspace, capsys, damp):
     rc = main(["quantize", "--model", str(workspace / "model.bin"),

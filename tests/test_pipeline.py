@@ -141,9 +141,9 @@ class TestQuantizeModel:
             factors.append(factorize(h))
             return factors[-1]
 
-        def recording_gptq(w, h, cfg, *, factor=None):
+        def recording_gptq(w, cfg, *, factor):
             gptq_factors.append(factor)
-            return gptq(w, h, cfg, factor=factor)
+            return gptq(w, cfg, factor=factor)
 
         monkeypatch.setattr(pipeline, "inverse_hessian_factor", counting_factorize)
         monkeypatch.setattr(pipeline, "gptq_quantize", recording_gptq)
@@ -213,9 +213,9 @@ class TestQuantizeModel:
             factors.append(factorize(h))
             return factors[-1]
 
-        def recording_gptq(w, h, cfg, *, factor=None):
+        def recording_gptq(w, cfg, *, factor):
             gptq_factors.append(factor)
-            return gptq(w, h, cfg, factor=factor)
+            return gptq(w, cfg, factor=factor)
 
         monkeypatch.setattr(split, "hessian_blocks", per_group)
         monkeypatch.setattr(pipeline, "inverse_hessian_factor", counting_factorize)

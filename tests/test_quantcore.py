@@ -282,7 +282,7 @@ class TestGptq:
         cfg = QuantConfig(bits=4)
         w = seeded_random_matrix(1, 8, 7)
         h = np.array([[2.0]], dtype=np.float32)
-        qg = gptq_quantize(w, h, cfg)
+        qg = gptq_quantize(w, cfg, factor=inverse_hessian_factor(h))
         qr = rtn_quantize(w, cfg)
         assert np.array_equal(qg.qint, qr.qint)
 
@@ -292,14 +292,15 @@ class TestGptq:
         cfg = QuantConfig(bits=4, groupsize=-1)
         w = seeded_random_matrix(8, 8, 8)
         h = np.eye(8, dtype=np.float32)
-        qg = gptq_quantize(w, h, cfg)
+        qg = gptq_quantize(w, cfg, factor=inverse_hessian_factor(h))
         qr = rtn_quantize(w, cfg)
         assert np.array_equal(qg.qint, qr.qint)
         assert proxy_loss(w, qg, h) == pytest.approx(proxy_loss(w, qr, h))
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvariantError):
-            gptq_quantize(seeded_random_matrix(8, 4, 0), np.eye(6), QuantConfig())
+            gptq_quantize(seeded_random_matrix(8, 4, 0), QuantConfig(),
+                          factor=inverse_hessian_factor(np.eye(6)))
 
     @pytest.mark.parametrize("gs", [-1, 8, 16])
     def test_dominance_sample(self, gs):
@@ -308,7 +309,7 @@ class TestGptq:
         for seed in range(30):
             w = seeded_random_matrix(16, 16, seed)
             h = spd_hessian(16, 1000 + seed)
-            lg = proxy_loss(w, gptq_quantize(w, h, cfg), h)
+            lg = proxy_loss(w, gptq_quantize(w, cfg, factor=inverse_hessian_factor(h)), h)
             lr = proxy_loss(w, rtn_quantize(w, cfg), h)
             wins += lg <= lr + 1e-6 * abs(lr)
         assert wins >= 29
@@ -325,7 +326,7 @@ class TestGptq:
             w = seeded_random_matrix(dim, cols, 5000 + t)
             h = spd_hessian(dim, 9000 + t, rows=64)
             cfg = cfg_pool[t % len(cfg_pool)]
-            lg = proxy_loss(w, gptq_quantize(w, h, cfg), h)
+            lg = proxy_loss(w, gptq_quantize(w, cfg, factor=inverse_hessian_factor(h)), h)
             lr = proxy_loss(w, rtn_quantize(w, cfg), h)
             ok += lg <= lr + 1e-6 * abs(lr)
         assert ok >= 0.99 * total
@@ -343,7 +344,7 @@ class TestGptq:
         h = spd_hessian(rows, 50_000 + seed, rows=2 * rows)
         for symmetric in (False, True):
             cfg = QuantConfig(bits=bits, groupsize=gs, symmetric=symmetric)
-            q = gptq_quantize(w, h, cfg)
+            q = gptq_quantize(w, cfg, factor=inverse_hessian_factor(h))
             ref = row_loop_gptq(w, h, cfg)
             assert q.qint.tobytes() == ref.qint.tobytes(), f"symmetric={symmetric}"
 
@@ -358,30 +359,22 @@ class TestGptq:
         ref = lu_inverse_hessian_factor(h)
         assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    def test_precomputed_factor(self):
-        cfg = QuantConfig(bits=4, groupsize=16)
-        w = seeded_random_matrix(150, 20, 21)
-        h = spd_hessian(150, 22, rows=300)
-        q = gptq_quantize(w, h, cfg, factor=inverse_hessian_factor(h))
-        assert q.qint.tobytes() == gptq_quantize(w, h, cfg).qint.tobytes()
-
     @pytest.mark.parametrize("shape", [(149, 149), (150, 151), (150,)])
     def test_factor_shape_mismatch(self, shape):
-        h = spd_hessian(150, 22, rows=300)
         with pytest.raises(InvariantError):
-            gptq_quantize(seeded_random_matrix(150, 20, 21), h, QuantConfig(),
+            gptq_quantize(seeded_random_matrix(150, 20, 21), QuantConfig(),
                           factor=np.ones(shape))
 
     def test_not_positive_definite_is_numeric_error(self):
         h = np.eye(8)
         h[3, 3] = -1.0
         with pytest.raises(NumericError):
-            gptq_quantize(seeded_random_matrix(8, 4, 0), h, QuantConfig())
+            inverse_hessian_factor(h)
 
     def test_output_invariants(self):
         cfg = QuantConfig(bits=4, groupsize=8)
         w = seeded_random_matrix(24, 8, 11)
-        q = gptq_quantize(w, spd_hessian(24, 12), cfg)
+        q = gptq_quantize(w, cfg, factor=inverse_hessian_factor(spd_hessian(24, 12)))
         assert (q.qint >= 0).all() and (q.qint <= 15).all()
         assert (q.params.scales > 0).all()
         assert np.array_equal(q.params.g_idx, group_index(24, 8))
@@ -424,9 +417,8 @@ def assert_pipeline_matches_row_loop(vision, crossmodal, dim, seed, rows, sample
 
 @pytest.mark.parametrize("quantize", [
     lambda w, h, cfg: rtn_quantize(w, cfg),
-    lambda w, h, cfg: gptq_quantize(w, h, cfg),
-    lambda w, h, cfg: gptq_quantize(w, h, cfg, factor=inverse_hessian_factor(h)),
-], ids=["rtn", "gptq", "gptq with factor"])
+    lambda w, h, cfg: gptq_quantize(w, cfg, factor=inverse_hessian_factor(h)),
+], ids=["rtn", "gptq"])
 def test_quantizers_check_weights_once(monkeypatch, quantize):
     calls = []
     check = quantcore.check_matrix
@@ -456,7 +448,8 @@ class TestProxyLoss:
         for seed in range(3):
             w = seeded_random_matrix(dim, cols, 80 + seed)
             h = spd_hessian(dim, 90 + seed)
-            for q in (rtn_quantize(w, cfg), gptq_quantize(w, h, cfg)):
+            qg = gptq_quantize(w, cfg, factor=inverse_hessian_factor(h))
+            for q in (rtn_quantize(w, cfg), qg):
                 ref = einsum_proxy_loss(w, q, h)
                 assert proxy_loss(w, q, h) == pytest.approx(ref, rel=1e-12)
 
