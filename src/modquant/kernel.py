@@ -4,10 +4,19 @@ The kernel computes A (M x K) times a packed K x D layer by B_M x B_D
 output tiles, each accumulating over B_K reduction slabs. Every slab of
 the weight tile is unpacked and dequantized in f32 on the fly; reduction
 tiles never split a 32-bit word because `TileConfig.validate` requires
-block_k to be a multiple of f_int. Every call maps its tiles through a
-pool of `workers` threads; tiles own disjoint output regions and each
-accumulates straight into its own, so threads write without locks and
-results are byte-identical for any worker count.
+block_k to be a multiple of f_int.
+
+Slabs are decoded lane-major: the slab's packed words unpack as one plane
+per lane, so row j * rows + r of a slab is input row r * f_int + j (lane j
+of word row r). Each call puts A's columns in the same order once, so a
+slab multiplies the matching columns of the reordered A. A slab's values
+are bit-identical to the matching rows of `dequantize_packed`; only their
+order, and so the f32 sum order of the product, differs.
+
+Every call maps its tiles through a pool of `workers` threads; tiles own
+disjoint output regions and each accumulates straight into its own, so
+threads write without locks and results are byte-identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -119,12 +128,25 @@ class _NullTracer:
 _UNTRACED = _NullTracer()
 
 
-def _dequant_slab(layer: PackedLinear, k0: int, k1: int, d0: int, d1: int,
-                  zeros: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    f_int = lanes_per_word(layer.bits)
-    words = layer.qweight[k0 // f_int : k1 // f_int, d0:d1]
-    return dequantize_codes(unpack_weights(words, layer.bits), layer.g_idx[k0:k1],
-                            zeros[:, d0:d1], scales[:, d0:d1])
+def _dequant_slab(words: np.ndarray, bits: int, zeros: np.ndarray,
+                  scales: np.ndarray) -> np.ndarray:
+    """One k-slab of a weight tile in lane-major row order, in f32.
+
+    `words` holds the slab's (rows, cols) packed words, `zeros` and
+    `scales` its lane tables of shape (f_int or 1, rows, cols). Row
+    j * rows + r of the result is lane j of word row r.
+    """
+    rows, cols = words.shape
+    # A single row of words unpacks to f_int lane planes.
+    codes = unpack_weights(words.reshape(1, -1), bits).reshape(-1, rows, cols)
+    return dequantize_codes(codes, zeros, scales).reshape(-1, cols)
+
+
+def _lane_groups(g_idx: np.ndarray, f_int: int) -> np.ndarray:
+    """Group of lane j of word row r at [j, r]; one row when every lane of
+    a word shares its group (groupsize a multiple of f_int, or -1)."""
+    groups = g_idx.reshape(-1, f_int).T
+    return groups[:1] if (groups == groups[:1]).all() else groups
 
 
 def quant_matmul(
@@ -143,8 +165,16 @@ def quant_matmul(
             f"A has {k} columns but the layer expects {layer.in_features}"
         )
 
+    f_int = lanes_per_word(layer.bits)
     zeros = layer.unpack_zero_codes()
     scales = layer.scales.astype(np.float32)
+    lane_groups = _lane_groups(layer.g_idx, f_int)
+    # A's columns in each k-slab's lane-major row order.
+    order = np.concatenate([
+        k0 + np.arange(min(cfg.block_k, k - k0)).reshape(-1, f_int).T.ravel()
+        for k0 in range(0, k, cfg.block_k)
+    ])
+    a_lanes = np.take(A, order, axis=1)
     out = np.zeros((m, d), dtype=np.float32)
 
     tiles = [
@@ -158,12 +188,17 @@ def quant_matmul(
         def run_tile(tile):
             m0, m1, d0, d1 = tile
             with trace.span("tile", root.span_id) as tspan:
+                words = np.ascontiguousarray(layer.qweight[:, d0:d1])
+                tile_zeros = zeros[lane_groups, d0:d1]
+                tile_scales = scales[lane_groups, d0:d1]
                 acc = out[m0:m1, d0:d1]
                 for k0 in range(0, k, cfg.block_k):
                     k1 = min(k0 + cfg.block_k, k)
+                    w0, w1 = k0 // f_int, k1 // f_int
                     with trace.span("dequant", tspan.span_id):
-                        b_tile = _dequant_slab(layer, k0, k1, d0, d1, zeros, scales)
-                    acc += A[m0:m1, k0:k1] @ b_tile
+                        slab = _dequant_slab(words[w0:w1], layer.bits,
+                                             tile_zeros[:, w0:w1], tile_scales[:, w0:w1])
+                    acc += a_lanes[m0:m1, k0:k1] @ slab
 
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             list(pool.map(run_tile, tiles))

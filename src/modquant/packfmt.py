@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import InvariantError
 from .quantcore import (
+    SUPPORTED_BITS,
     QuantizedMatrix,
     dequantize_codes,
     group_index,
@@ -60,14 +61,24 @@ def pack_weights(qint: np.ndarray, bits: int) -> np.ndarray:
     return _pack_axis0(q, bits)
 
 
+# Each lane's right shift, shaped to broadcast over (word rows, lanes, columns).
+_LANE_SHIFTS = {
+    bits: (bits * np.arange(32 // bits, dtype=np.uint32)).reshape(1, -1, 1)
+    for bits in SUPPORTED_BITS
+}
+
+
 def unpack_weights(qweight: np.ndarray, bits: int) -> np.ndarray:
-    """Inverse of pack_weights: (I/f_int) x O words back to I x O codes."""
+    """Inverse of pack_weights: (I/f_int) x O words back to I x O codes.
+
+    Row r * f_int + j of the result is lane j of word row r, so a single
+    row of words comes back as f_int lane planes, one after another.
+    """
     f_int = lanes_per_word(bits)
     w = np.asarray(qweight, dtype=np.uint32)
     rows, cols = w.shape
-    shifts = (bits * np.arange(f_int, dtype=np.uint32)).reshape(1, f_int, 1)
     lanes = np.empty((rows, f_int, cols), dtype=np.uint32)
-    np.right_shift(w[:, None, :], shifts, out=lanes)
+    np.right_shift(w[:, None, :], _LANE_SHIFTS[bits], out=lanes)
     lanes &= np.uint32((1 << bits) - 1)
     # Codes are below 2^bits <= 2^8, so the int32 view holds the same values.
     return lanes.reshape(rows * f_int, cols).view(np.int32)
@@ -167,8 +178,9 @@ def pack_linear(q: QuantizedMatrix, bias: np.ndarray | None = None) -> PackedLin
 
 def dequantize_packed(layer: PackedLinear) -> np.ndarray:
     """Full dense f32 weight matrix from the packed form (bias excluded)."""
-    return dequantize_codes(layer.unpack_qint(), layer.g_idx, layer.unpack_zero_codes(),
-                            layer.scales.astype(np.float32))
+    g = layer.g_idx
+    return dequantize_codes(layer.unpack_qint(), layer.unpack_zero_codes()[g],
+                            layer.scales.astype(np.float32)[g])
 
 
 def _packed_layout(

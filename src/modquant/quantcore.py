@@ -144,27 +144,26 @@ def rtn_quantize(W: np.ndarray, cfg: QuantConfig) -> QuantizedMatrix:
     return QuantizedMatrix(qint, params, cfg.bits, cfg.groupsize)
 
 
-def dequantize_codes(
-    codes: np.ndarray, g_idx: np.ndarray, zeros: np.ndarray, scales: np.ndarray
-) -> np.ndarray:
-    """out[i][o] = (codes[i][o] - zeros[g][o]) * scales[g][o], g = g_idx[i],
-    in f32 from int32 codes, which it overwrites.
+def dequantize_codes(codes: np.ndarray, zeros: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """out = (codes - zeros) * scales in f32 from int32 codes, which it
+    overwrites; `zeros` and `scales` broadcast against `codes`, so callers
+    gather each row's group (zeros[g_idx], scales[g_idx]).
 
     codes - zeros is formed in int32 and converted to f32 (exact, |q - z| <
     2^8); its f32 product with an f32 scale is the correctly rounded exact
     product, so this equals the same formula evaluated in f64 and rounded
     to f32.
     """
-    codes -= zeros[g_idx]
+    codes -= zeros
     out = codes.astype(np.float32)
-    out *= scales[g_idx]
+    out *= scales
     return out
 
 
 def dequantize_matrix(q: QuantizedMatrix) -> np.ndarray:
     """out[i][o] = (qint[i][o] - zeros[g][o]) * scales[g][o], g = g_idx[i]."""
     p = q.params
-    return dequantize_codes(q.qint.copy(), p.g_idx, p.zeros, p.scales)
+    return dequantize_codes(q.qint.copy(), p.zeros[p.g_idx], p.scales[p.g_idx])
 
 
 def gptq_quantize(W: np.ndarray, cfg: QuantConfig, *, factor: np.ndarray) -> QuantizedMatrix:
@@ -172,7 +171,8 @@ def gptq_quantize(W: np.ndarray, cfg: QuantConfig, *, factor: np.ndarray) -> Qua
 
     `factor` is `inverse_hessian_factor(H)`, the upper Cholesky factor of
     H^-1 and the only form of the Hessian the sweep reads; matrices that
-    share one Hessian share one factor.
+    share one Hessian share one factor. A factor that is not finite, upper
+    triangular and positive on its diagonal is an InvariantError.
 
     Input rows are processed in natural order against group parameters
     fitted on the original weights; after snapping row i, the residual is
@@ -197,6 +197,10 @@ def gptq_quantize(W: np.ndarray, cfg: QuantConfig, *, factor: np.ndarray) -> Qua
             f"factor shape {np.shape(factor)} does not match weight rows {n_rows}"
         )
     u = np.asarray(factor, dtype=np.float64)
+    if not (np.isfinite(u).all() and (np.diag(u) > 0).all() and not np.tril(u, -1).any()):
+        raise InvariantError(
+            "factor must be finite and upper triangular with a positive diagonal"
+        )
     params = compute_group_params(W, cfg)
 
     work = W.astype(np.float64)
@@ -219,8 +223,9 @@ def gptq_quantize(W: np.ndarray, cfg: QuantConfig, *, factor: np.ndarray) -> Qua
                 g = g_idx[i]
                 s = scales[g]
                 np.divide(row, s, out=qz)
-                np.round(qz, out=qz)
-                np.clip(qz, lo[g], hi[g], out=qz)
+                np.rint(qz, out=qz)
+                np.maximum(qz, lo[g], out=qz)
+                np.minimum(qz, hi[g], out=qz)
                 np.add(qz, zeros[g], out=qint[i], casting="unsafe")
                 np.multiply(qz, s, out=err)
                 np.subtract(row, err, out=err)

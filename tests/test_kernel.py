@@ -178,6 +178,22 @@ class TestQuantMatmul:
         with pytest.raises(InvariantError):
             quant_matmul(seeded_random_matrix(4, 24, 0), layer, TileConfig(8, 8, 8))
 
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_positive_mean_inputs_over_long_k(self, bits, symmetric):
+        # Inputs with a positive mean (|N(0,1)| rows and N(0,1) + 3 rows)
+        # over one group of K = 4096: a kernel that folds the zero points
+        # out of the product, A_g @ q - rowsum(A_g) z_g, cancels two large
+        # f32 sums and reads up to ~3e-5 here.
+        k = 4096
+        x = np.random.default_rng(60 + bits).standard_normal((8, k))
+        a = np.concatenate([np.abs(x[:4]), x[4:] + 3]).astype(np.float32)
+        w = seeded_random_matrix(k, 64, 70 + bits)
+        layer = pack_linear(rtn_quantize(
+            w, QuantConfig(bits=bits, groupsize=-1, symmetric=symmetric)))
+        ref = a.astype(np.float64) @ dequantize_packed(layer).astype(np.float64)
+        assert rel_err(quant_matmul(a, layer, TileConfig(8, 64, 256)), ref) <= 1e-5
+
 
 def shift_mask_unpack(words, bits):
     """Oracle unpack: shift, mask, then an int32 copy."""
@@ -189,7 +205,8 @@ def shift_mask_unpack(words, bits):
 
 
 def f64_dequant_slab(layer, k0, k1, d0, d1, zeros, scales):
-    """Oracle slab: int32 times f32 promotes to an exact f64, rounded once."""
+    """Oracle slab in natural row order: int32 times f32 promotes to an
+    exact f64, rounded once."""
     f_int = 32 // layer.bits
     qint = shift_mask_unpack(layer.qweight[k0 // f_int : k1 // f_int, d0:d1],
                              layer.bits)
@@ -197,11 +214,35 @@ def f64_dequant_slab(layer, k0, k1, d0, d1, zeros, scales):
     return ((qint - zeros[g, d0:d1]) * scales[g, d0:d1]).astype(np.float32)
 
 
+def lane_major(slab, f_int):
+    """A natural-order slab's rows in lane-major order: row r * f_int + j
+    (lane j of word row r) moves to j * rows + r."""
+    cols = slab.shape[1]
+    return slab.reshape(-1, f_int, cols).transpose(1, 0, 2).reshape(-1, cols)
+
+
+def f64_lane_slab(words, bits, zeros, scales):
+    """Oracle for `kernel._dequant_slab`: the natural-order f64 slab of
+    `words` and its lane tables, its rows put in lane-major order."""
+    f_int = 32 // bits
+    rows, cols = words.shape
+
+    def natural(table):
+        full = np.broadcast_to(table, (f_int, rows, cols))
+        return full.transpose(1, 0, 2).reshape(-1, cols)
+
+    qint = shift_mask_unpack(words, bits)
+    slab = ((qint - natural(zeros)) * natural(scales)).astype(np.float32)
+    return lane_major(slab, f_int)
+
+
 # K = 200 ends in a short group of 8 at groupsize 16; 2-bit words hold 16
 # rows, so there K = 240 (a short group of 112 at groupsize 128). The
 # smaller block_k cuts every group of 128 and -1, and groups of 16 for
-# bits 4 and 8; block_k = 64 leaves a short last slab.
-BYTE_GRID = [(bits, gs) for bits in (2, 4, 8) for gs in (16, 128, -1)]
+# bits 4 and 8; block_k = 64 leaves a short last slab. Groups of 12 rows
+# (4-bit words hold 8) and of 40 (2-bit words hold 16) split packed
+# words, so the lanes of one word fall in different groups.
+BYTE_GRID = [(bits, gs) for bits in (2, 4, 8) for gs in (16, 128, -1)] + [(4, 12), (2, 40)]
 
 
 def grid_layer(bits, groupsize):
@@ -226,19 +267,28 @@ class TestByteIdentity:
 
     @pytest.mark.parametrize("bits,groupsize", BYTE_GRID)
     def test_slab_matches_f64_oracle(self, bits, groupsize):
+        # The slab and its lane tables, against the natural-order oracle
+        # that gathers by g_idx, its rows put in lane-major order.
         layer = grid_layer(bits, groupsize)
         zeros = layer.unpack_zero_codes()
         scales = layer.scales.astype(np.float32)
         assert np.any(zeros)  # the zero-point subtraction is exercised
+        f_int = 32 // bits
+        groups = kernel._lane_groups(layer.g_idx, f_int)
+        shares = groupsize == -1 or groupsize % f_int == 0
+        assert groups.shape[0] == (1 if shares else f_int)
         k = layer.in_features
         for block_k in (max(8, 32 // bits), 64):
             for k0 in range(0, k, block_k):
                 k1 = min(k0 + block_k, k)
+                w0, w1 = k0 // f_int, k1 // f_int
                 for d0, d1 in ((0, 32), (32, 72)):
-                    got = kernel._dequant_slab(layer, k0, k1, d0, d1, zeros, scales)
+                    got = kernel._dequant_slab(
+                        layer.qweight[w0:w1, d0:d1], bits,
+                        zeros[groups[:, w0:w1], d0:d1], scales[groups[:, w0:w1], d0:d1])
                     want = f64_dequant_slab(layer, k0, k1, d0, d1, zeros, scales)
                     assert got.dtype == np.float32
-                    assert got.tobytes() == want.tobytes()
+                    assert got.tobytes() == lane_major(want, f_int).tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("bits,groupsize", BYTE_GRID)
@@ -249,9 +299,12 @@ class TestByteIdentity:
         cfgs = [TileConfig(8, 32, block_k, workers)
                 for block_k in (max(8, 32 // bits), 64)]
         got = [quant_matmul(a, layer, c) for c in cfgs]
-        monkeypatch.setattr(kernel, "_dequant_slab", f64_dequant_slab)
+        monkeypatch.setattr(kernel, "_dequant_slab", f64_lane_slab)
+        ref = reference_matmul(a, dequantize_packed(layer), layer.bias)
         for c, out in zip(cfgs, got):
             assert out.tobytes() == quant_matmul(a, layer, c).tobytes()
+            # the lane tables the kernel gathers are the rows' own groups
+            assert rel_err(out, ref) <= 1e-6
 
 
 class TestSpans:

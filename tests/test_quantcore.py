@@ -365,6 +365,19 @@ class TestGptq:
             gptq_quantize(seeded_random_matrix(150, 20, 21), QuantConfig(),
                           factor=np.ones(shape))
 
+    @pytest.mark.parametrize("factor", [
+        np.tril(np.ones((16, 16))),
+        np.zeros((16, 16)),
+        np.full((16, 16), np.nan),
+        np.eye(16) + np.triu(np.full((16, 16), np.inf), 5),
+        np.triu(np.ones((16, 16))) - 2 * np.eye(16),
+    ], ids=["lower-triangular", "all-zero", "all-nan", "inf-above-diagonal",
+            "negative-diagonal"])
+    def test_factor_must_be_finite_upper_triangular(self, factor):
+        with pytest.raises(InvariantError, match="factor must be"):
+            gptq_quantize(seeded_random_matrix(16, 8, 23), QuantConfig(bits=4, groupsize=8),
+                          factor=factor)
+
     def test_not_positive_definite_is_numeric_error(self):
         h = np.eye(8)
         h[3, 3] = -1.0
