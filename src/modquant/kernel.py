@@ -43,7 +43,7 @@ _TILE_RANGE = (8, 256)
 class TileConfig:
     """B_M x B_D output tiles, B_K reduction slabs, and worker threads.
     Building one checks every field: an int (a bool is not), each block a
-    power of two in _TILE_RANGE, workers >= 1."""
+    power of two in _TILE_RANGE, workers in [1, 256] (_TILE_RANGE's top)."""
 
     block_m: int
     block_d: int
@@ -57,8 +57,8 @@ class TileConfig:
                 raise InvariantError(f"{name} must be an integer, got {v!r}")
             if name != "workers" and not (lo <= v <= hi and v & (v - 1) == 0):
                 raise InvariantError(f"{name} = {v} must be a power of two in {_TILE_RANGE}")
-        if self.workers < 1:
-            raise InvariantError("workers must be >= 1")
+        if not 1 <= self.workers <= hi:
+            raise InvariantError(f"workers = {self.workers} must be in [1, {hi}]")
 
     def validate(self, bits: int) -> None:
         """The rule that needs the bit width: block_k splits no packed word."""

@@ -69,12 +69,13 @@ class SyntheticModel:
 
     def __post_init__(self):
         """InvariantError unless names are unique, every name has a weight and
-        every weight a name, weights are finite 2-D f32 matrices, `embed_dims`
-        holds two dims, `misc_params` >= 0, and the shapes chain as the
-        forward passes and `hessian_blocks` use them: the vision stack from D_V,
-        each layer reading the previous one's output; D_M fed to the
-        cross-modal layers, by the last vision layer or as D_V; every
-        cross-modal member reading D_M, each group's first writing D_M."""
+        every weight a name, each cross-modal layer's `index` is its position,
+        weights are finite 2-D f32 matrices, `embed_dims` holds two dims,
+        `misc_params` >= 0, and the shapes chain as the forward passes and
+        `hessian_blocks` use them: the vision stack from D_V, each layer reading
+        the previous one's output; D_M fed to the cross-modal layers, by the
+        last vision layer or as D_V; every cross-modal member reading D_M, each
+        group's first writing D_M."""
         names = self.matrix_names()
         if len(set(names)) != len(names):
             raise InvariantError("weight matrix names must be unique")
@@ -84,6 +85,9 @@ class SyntheticModel:
         stray = sorted(self.weights.keys() - set(names))
         if stray:
             raise InvariantError(f"weights {stray} belong to no layer")
+        for position, layer in enumerate(self.crossmodal_layers):
+            if layer.index != position:
+                raise InvariantError(f"cross-modal layer {position} has index {layer.index}")
         for name, w in self.weights.items():
             try:
                 self.weights[name] = check_matrix(w)

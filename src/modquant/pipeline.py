@@ -21,7 +21,6 @@ from .calibration import CalibrationSet, hessian_from_samples
 from .errors import InvariantError
 from .model import SyntheticModel
 from .packfmt import (
-    PACKED_TENSORS,
     PackedLinear,
     estimate_packed_size,
     pack_linear,
@@ -38,13 +37,15 @@ from .quantcore import (
 from .tensorio import file_invariants, list_attr, load_container, typed_attr, write_container
 
 REPORT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA = "quantized-checkpoint/2"
 
 
 @dataclass
 class QuantizedCheckpoint:
-    """Packed layers and their report: a map whose int `bits` and `groupsize`
-    are every layer's and whose `layers` list names each layer once with its
-    `in_features` and `out_features`; anything else is an InvariantError."""
+    """Packed layers and their report, a saved checkpoint's only manifest: a
+    map whose int `bits` and `groupsize` are every layer's and whose `layers`
+    list names each layer once with its `in_features` and `out_features`;
+    anything else is an InvariantError."""
 
     layers: dict[str, PackedLinear]
     report: dict
@@ -176,50 +177,40 @@ def size_report(
 
 
 def save_checkpoint(ckpt: QuantizedCheckpoint, path) -> None:
-    """Write `ckpt` so that `load_checkpoint` reads it back, after checking it
-    again: its report or layers may have changed since it was built."""
+    """Write `ckpt`'s packed tensors with its report as the only manifest,
+    after checking it again: its report or layers may have changed since."""
     QuantizedCheckpoint(ckpt.layers, ckpt.report)
-    tensors, layer_meta = {}, {}
+    tensors = {}
     for name, layer in ckpt.layers.items():
         tensors.update(packed_tensors(layer, name))
-        layer_meta[name] = {"in_features": layer.in_features,
-                            "out_features": layer.out_features}
-    attrs = {
-        "schema": "quantized-checkpoint/1",
-        "bits": ckpt.report["bits"],
-        "groupsize": ckpt.report["groupsize"],
-        "layers": layer_meta,
-        "report": ckpt.report,
-    }
-    write_container(path, tensors, attrs)
+    write_container(path, tensors, {"schema": CHECKPOINT_SCHEMA, "report": ckpt.report})
 
 
 def load_checkpoint(path) -> QuantizedCheckpoint:
-    """Read a checkpoint written by `save_checkpoint`.
+    """Read a checkpoint written by `save_checkpoint`: each layer its report
+    lists, in that order, built at the report's `bits` and `groupsize`.
 
-    A container of another schema, a missing or mistyped attribute (the
-    layers must be a map), bits and groupsize that `QuantConfig` rejects, a
-    tensor outside `<layer>/{qweight, scales, qzeros, g_idx, bias}` of a
-    listed layer, a layer with a missing tensor or one that `PackedLinear`
-    rejects (named in the message), and a report that `QuantizedCheckpoint`
-    rejects, is a FormatError.
+    A container of another schema (a quantized-checkpoint/1 file too), a
+    missing or mistyped report field, bits and groupsize that `QuantConfig`
+    rejects, a listed layer with a missing tensor or one that `PackedLinear`
+    rejects (named in the message), a tensor of no listed layer, and a
+    report that `QuantizedCheckpoint` rejects, is a FormatError.
     """
     tensors, attrs = load_container(path)
     with file_invariants(path):
-        if attrs.get("schema") != "quantized-checkpoint/1":
-            raise InvariantError("not a quantized-checkpoint container")
-        bits, groupsize = typed_attr(attrs, "bits", int), typed_attr(attrs, "groupsize", int)
-        layer_meta = typed_attr(attrs, "layers", dict)
+        if attrs.get("schema") != CHECKPOINT_SCHEMA:
+            raise InvariantError(f"not a {CHECKPOINT_SCHEMA} container")
+        report = typed_attr(attrs, "report", dict)
+        bits, groupsize = typed_attr(report, "bits", int), typed_attr(report, "groupsize", int)
         QuantConfig(bits, groupsize)
-        stray = tensors.keys() - {f"{name}/{t}" for name in layer_meta for t in PACKED_TENSORS}
+        layers, claimed = {}, set()
+        for entry in list_attr(report, "layers", dict):
+            name = typed_attr(entry, "name", str)
+            shape = typed_attr(entry, "in_features", int), typed_attr(entry, "out_features", int)
+            with file_invariants(f"{path}: layer {name!r}"):
+                layers[name] = packed_from_tensors(tensors, name, bits, groupsize, *shape)
+            claimed |= packed_tensors(layers[name], name).keys()
+        stray = tensors.keys() - claimed
         if stray:
             raise InvariantError(f"tensors {sorted(stray)} belong to no layer")
-        layers = {}
-        for name, meta in layer_meta.items():
-            with file_invariants(f"{path}: layer {name!r}"):
-                layers[name] = packed_from_tensors(
-                    tensors, name, bits, groupsize,
-                    typed_attr(meta, "in_features", int),
-                    typed_attr(meta, "out_features", int),
-                )
-        return QuantizedCheckpoint(layers, attrs.get("report"))
+        return QuantizedCheckpoint(layers, report)

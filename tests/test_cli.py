@@ -157,6 +157,21 @@ def test_model_with_stray_weight_is_format_error(workspace, capsys, command):
     assert not out.exists()
 
 
+def test_model_with_repeated_crossmodal_index_is_format_error(workspace, capsys):
+    path = workspace / "model2.bin"
+    save_model(generate_model(1, 2, 32, seed=1), path)
+    tensors, attrs = load_container(path)
+    attrs["crossmodal_layers"][1]["index"] = 0
+    write_container(path, tensors, attrs)
+    out = workspace / "x.bin"
+    assert main(["quantize", "--model", str(path), "--calib-v", str(workspace / "cv.bin"),
+                 "--calib-m", str(workspace / "cm.bin"), "--bits", "4",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "cross-modal layer 1 has index 0" in err
+    assert not out.exists()
+
+
 def test_quantize_swapped_calibration_sets_is_invariant_error(workspace, capsys):
     rc = main(["quantize", "--model", str(workspace / "model.bin"),
                "--calib-v", str(workspace / "cm.bin"),

@@ -44,6 +44,7 @@ def rel_err(a, b):
 class TestTileConfig:
     def test_valid(self):
         TileConfig(16, 32, 64).validate(4)
+        TileConfig(16, 32, 64, workers=256).validate(4)  # built only, never run
 
     @pytest.mark.parametrize("bad", [(7, 8, 8), (8, 300, 8), (8, 8, 4)])
     def test_invalid_sizes(self, bad):
@@ -53,6 +54,7 @@ class TestTileConfig:
     @pytest.mark.parametrize("bad", [
         (7, 8, 8), (8, 300, 8), (8, 8, 4), (True, 8, 8), (32.0, 8, 8),
         ("32", 8, 8), (None, 8, 8), (8, 8, 8, 0), (8, 8, 8, -1), (8, 8, 8, True),
+        (8, 8, 8, 257),
     ])
     def test_construction_checks_every_field(self, bad):
         with pytest.raises(InvariantError):

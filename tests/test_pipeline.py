@@ -240,15 +240,21 @@ class TestQuantizeModel:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_checkpoint_roundtrip(self, checkpoint, tmp_path):
+        """The report is the file's only manifest, and a round trip keeps it
+        and every packed tensor's bytes."""
         path = tmp_path / "ck.bin"
         save_checkpoint(checkpoint, path)
+        assert load_container(path)[1].keys() == {"schema", "report"}
         back = load_checkpoint(path)
         assert back.report == json.loads(json.dumps(checkpoint.report))
+        assert list(back.layers) == checkpoint.report["processing_order"]
         for name, layer in checkpoint.layers.items():
-            got = back.layers[name]
-            assert np.array_equal(got.qweight, layer.qweight)
+            want, have = packed_tensors(layer, name), packed_tensors(back.layers[name], name)
+            assert want.keys() == have.keys()
+            assert all(want[k].dtype == have[k].dtype and want[k].tobytes() == have[k].tobytes()
+                       for k in want)
             assert np.array_equal(
-                dequantize_packed(got), dequantize_packed(layer)
+                dequantize_packed(back.layers[name]), dequantize_packed(layer)
             )
 
 
@@ -360,12 +366,12 @@ def _attr(key, value=None):
     return lambda t, a: a.__setitem__(key, value)
 
 
-def _meta(key, value=None):
-    return lambda t, a: _attr(key, value)(t, a["layers"]["v"])
-
-
 def _report(key, value=None):
     return lambda t, a: _attr(key, value)(t, a["report"])
+
+
+def _entry(key, value=None):
+    return lambda t, a: _attr(key, value)(t, a["report"]["layers"][0])
 
 
 # A 64 x 24 4-bit layer "v" at groupsize 16 (G = 4) with a bias.
@@ -391,22 +397,27 @@ CKPT_MUTATIONS = {
     "bias f16": _tensor("v/bias", lambda x: x.astype(np.float16)),
     "stray tensor under no layer": _copy("v/qweight", "stray/qweight"),
     "stray tensor under a layer": _copy("v/bias", "v/extra"),
-    "missing bits": _attr("bits"),
-    "bits as string": _attr("bits", "4"),
-    "bits 3": _attr("bits", 3),
-    "missing groupsize": _attr("groupsize"),
-    "groupsize -2": _attr("groupsize", -2),
-    "groupsize 0": _attr("groupsize", 0),
-    "groupsize 32": _attr("groupsize", 32),
-    "missing layers": _attr("layers"),
+    "missing bits": _report("bits"),
+    "bits as string": _report("bits", "4"),
+    "bits 3": _report("bits", 3),
+    "missing groupsize": _report("groupsize"),
+    "groupsize -2": _report("groupsize", -2),
+    "groupsize 0": _report("groupsize", 0),
+    "groupsize 32": _report("groupsize", 32),
+    "missing layers": _report("layers"),
     "missing report": _attr("report"),
     "report is a string": _attr("report", "x"),
-    "missing in_features": _meta("in_features"),
-    "in_features off by a word": _meta("in_features", 72),
-    "out_features as float": _meta("out_features", 24.0),
+    "missing in_features": _entry("in_features"),
+    "in_features off by a word": _entry("in_features", 56),
+    "out_features as float": _entry("out_features", 24.0),
     "report bits 8": _report("bits", 8),
     "report layers empty": _report("layers", []),
-    "report layer in_features 72": lambda t, a: a["report"]["layers"][0].update(in_features=72),
+    "report layer in_features 72": _entry("in_features", 72),
+    "schema quantized-checkpoint/1": lambda t, a: a.update(
+        schema="quantized-checkpoint/1", bits=4, groupsize=16,
+        layers={"v": {"in_features": 64, "out_features": 24}}),
+    "report lists v twice": lambda t, a: a["report"]["layers"].append(a["report"]["layers"][0]),
+    "layer name not a string": _entry("name", 0),
 }
 
 
@@ -489,6 +500,7 @@ LOADER_MUTATIONS = {
     "model: float embed dims": ("model", _attr("embed_dims", [8.0, 8.0])),
     "model: misc_params as string": ("model", _attr("misc_params", "0")),
     "model: stray weight": ("model", _copy("vision.0.proj", "stray.proj")),
+    "model: cross-modal index not its position": ("model", _layer("index", 1)),
     "calib: missing num_samples": ("calib", _attr("num_samples")),
     "calib: num_samples 0": ("calib", _attr("num_samples", 0)),
     "calib: num_samples as string": ("calib", _attr("num_samples", "2")),
