@@ -1,10 +1,10 @@
 """Tiled dequantize-and-multiply kernel, autotuner, and timing spans.
 
-The kernel computes A (M x K) times a packed K x D layer by B_M x B_D
-output tiles, each accumulating over B_K reduction slabs. Every slab of
-the weight tile is unpacked and dequantized in f32 on the fly; reduction
-tiles never split a 32-bit word because `TileConfig.validate` requires
-block_k to be a multiple of f_int.
+The kernel computes A (M x K) times a packed K x D layer by running
+`tile_plan`: B_M x B_D output tiles, each accumulating over the B_K
+reduction slabs. Every slab of the weight tile is unpacked and dequantized
+in f32 on the fly; reduction slabs never split a 32-bit word because
+`TileConfig.validate` requires block_k to be a multiple of f_int.
 
 Slabs are decoded lane-major: the slab's packed words unpack as one plane
 per lane, so row j * rows + r of a slab is input row r * f_int + j (lane j
@@ -149,13 +149,23 @@ def _lane_groups(g_idx: np.ndarray, f_int: int) -> np.ndarray:
     return groups[:1] if (groups == groups[:1]).all() else groups
 
 
+def tile_plan(m: int, k: int, d: int, cfg: TileConfig):
+    """The loop of an M x K times K x D `quant_matmul` under `cfg`: the
+    output tiles (m0, m1, d0, d1) in pool-submission order, and the
+    k-slabs (k0, k1) that each tile dequantizes and accumulates, in order."""
+    tiles = [(m0, min(m0 + cfg.block_m, m), d0, min(d0 + cfg.block_d, d))
+             for m0 in range(0, m, cfg.block_m) for d0 in range(0, d, cfg.block_d)]
+    slabs = [(k0, min(k0 + cfg.block_k, k)) for k0 in range(0, k, cfg.block_k)]
+    return tiles, slabs
+
+
 def quant_matmul(
     A: np.ndarray,
     layer: PackedLinear,
     cfg: TileConfig,
     tracer: Tracer | None = None,
 ) -> np.ndarray:
-    """A (M x K) times the packed layer (K x D) plus bias, f32 accumulation."""
+    """A (M x K) times the packed layer (K x D) plus bias in f32, looping over `tile_plan`."""
     A = check_matrix(A)
     cfg.validate(layer.bits)
     m, k = A.shape
@@ -169,19 +179,11 @@ def quant_matmul(
     zeros = layer.unpack_zero_codes()
     scales = layer.scales.astype(np.float32)
     lane_groups = _lane_groups(layer.g_idx, f_int)
+    tiles, slabs = tile_plan(m, k, d, cfg)
     # A's columns in each k-slab's lane-major row order.
-    order = np.concatenate([
-        k0 + np.arange(min(cfg.block_k, k - k0)).reshape(-1, f_int).T.ravel()
-        for k0 in range(0, k, cfg.block_k)
-    ])
+    order = np.concatenate([np.arange(k0, k1).reshape(-1, f_int).T.ravel() for k0, k1 in slabs])
     a_lanes = np.take(A, order, axis=1)
     out = np.zeros((m, d), dtype=np.float32)
-
-    tiles = [
-        (m0, min(m0 + cfg.block_m, m), d0, min(d0 + cfg.block_d, d))
-        for m0 in range(0, m, cfg.block_m)
-        for d0 in range(0, d, cfg.block_d)
-    ]
 
     trace = tracer or _UNTRACED
     with trace.span("forward") as root:
@@ -192,8 +194,7 @@ def quant_matmul(
                 tile_zeros = zeros[lane_groups, d0:d1]
                 tile_scales = scales[lane_groups, d0:d1]
                 acc = out[m0:m1, d0:d1]
-                for k0 in range(0, k, cfg.block_k):
-                    k1 = min(k0 + cfg.block_k, k)
+                for k0, k1 in slabs:
                     w0, w1 = k0 // f_int, k1 // f_int
                     with trace.span("dequant", tspan.span_id):
                         slab = _dequant_slab(words[w0:w1], layer.bits,

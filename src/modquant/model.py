@@ -47,15 +47,14 @@ class ComponentGroup:
 
 @dataclass
 class CrossModalLayer:
-    index: int
     groups: list[ComponentGroup]
 
     def __post_init__(self):
         kinds = tuple(g.group_kind for g in self.groups)
         if kinds != GROUP_ORDER:
             raise InvariantError(
-                f"cross-modal layer {self.index} must hold the four groups "
-                f"{GROUP_ORDER} in order, got {kinds}"
+                f"a cross-modal layer must hold the four groups {GROUP_ORDER} "
+                f"in order, got {kinds}"
             )
 
 
@@ -69,13 +68,12 @@ class SyntheticModel:
 
     def __post_init__(self):
         """InvariantError unless names are unique, every name has a weight and
-        every weight a name, each cross-modal layer's `index` is its position,
-        weights are finite 2-D f32 matrices, `embed_dims` holds two dims,
-        `misc_params` >= 0, and the shapes chain as the forward passes and
-        `hessian_blocks` use them: the vision stack from D_V, each layer reading
-        the previous one's output; D_M fed to the cross-modal layers, by the
-        last vision layer or as D_V; every cross-modal member reading D_M, each
-        group's first writing D_M."""
+        every weight a name, weights are finite 2-D f32 matrices, `embed_dims`
+        holds two dims, `misc_params` >= 0, and the shapes chain as the forward
+        passes and `hessian_blocks` use them: the vision stack from D_V, each
+        layer reading the previous one's output; D_M fed to the cross-modal
+        layers, by the last vision layer or as D_V; every cross-modal member
+        reading D_M, each group's first writing D_M."""
         names = self.matrix_names()
         if len(set(names)) != len(names):
             raise InvariantError("weight matrix names must be unique")
@@ -85,9 +83,6 @@ class SyntheticModel:
         stray = sorted(self.weights.keys() - set(names))
         if stray:
             raise InvariantError(f"weights {stray} belong to no layer")
-        for position, layer in enumerate(self.crossmodal_layers):
-            if layer.index != position:
-                raise InvariantError(f"cross-modal layer {position} has index {layer.index}")
         for name, w in self.weights.items():
             try:
                 self.weights[name] = check_matrix(w)
@@ -140,8 +135,8 @@ class SyntheticModel:
                 samples = [s @ self.weights[self.vision_layers[i - 1]] for s in samples]
             yield "vision", i, [(name, None)], samples
         samples = crossmodal_samples
-        for layer in self.crossmodal_layers:
-            yield ("crossmodal", layer.index,
+        for i, layer in enumerate(self.crossmodal_layers):
+            yield ("crossmodal", i,
                    [(name, g.group_kind) for g in layer.groups for name in g.members], samples)
             # Dead work after the last layer, kept: the benchmark self-test needs this hook.
             samples = [self.forward_crossmodal_layer(layer, s) for s in samples]
@@ -165,10 +160,9 @@ class SyntheticModel:
 
 def vision_seq_len(image_size: int, patch_size: int) -> int:
     """Sequence length of vision samples: (image_size/patch_size)^2 + 1."""
-    if patch_size <= 0 or image_size % patch_size != 0:
-        raise InvariantError(
-            f"patch size {patch_size} must divide image size {image_size}"
-        )
+    if image_size < 1 or patch_size < 1 or image_size % patch_size != 0:
+        raise InvariantError(f"image size {image_size} and patch size {patch_size} "
+                             "must be >= 1, and the patch size must divide the image size")
     return (image_size // patch_size) ** 2 + 1
 
 
@@ -207,7 +201,7 @@ def generate_model(
             for m in members:
                 fresh(m)
             groups.append(ComponentGroup(kind, members))
-        layers.append(CrossModalLayer(j, groups))
+        layers.append(CrossModalLayer(groups))
 
     return SyntheticModel(vnames, layers, weights, (dim, dim), misc_params)
 
@@ -218,13 +212,13 @@ def save_model(model: SyntheticModel, path) -> None:
         "vision_layers": list(model.vision_layers),
         "crossmodal_layers": [
             {
-                "index": layer.index,
+                "index": i,
                 "groups": [
                     {"kind": g.group_kind, "members": list(g.members)}
                     for g in layer.groups
                 ],
             }
-            for layer in model.crossmodal_layers
+            for i, layer in enumerate(model.crossmodal_layers)
         ],
         "embed_dims": list(model.embed_dims),
         "misc_params": model.misc_params,
@@ -238,8 +232,9 @@ def load_model(path) -> SyntheticModel:
     A container of another schema, a missing or mistyped attribute
     (`vision_layers`, `crossmodal_layers` with each entry's `index` and
     `groups` and each group's `kind` and `members`, `embed_dims` as a list
-    of integers, `misc_params` when present), and contents that break an
-    invariant of `SyntheticModel` or its layers, is a FormatError.
+    of integers, `misc_params` when present), an entry whose `index` is not
+    its position, and contents that break an invariant of `SyntheticModel`
+    or its layers, is a FormatError.
     """
     tensors, attrs = load_container(path)
     with file_invariants(path):
@@ -247,12 +242,15 @@ def load_model(path) -> SyntheticModel:
             raise InvariantError("not a synthetic-model container")
         vision_layers = list_attr(attrs, "vision_layers", str)
         layers = []
-        for entry in list_attr(attrs, "crossmodal_layers", dict):
+        for position, entry in enumerate(list_attr(attrs, "crossmodal_layers", dict)):
             with file_invariants(f"{path}: cross-modal layer {entry.get('index')!r}"):
                 groups = [(typed_attr(g, "kind", str), list_attr(g, "members", str))
                           for g in list_attr(entry, "groups", dict)]
                 index = typed_attr(entry, "index", int)
-            layers.append(CrossModalLayer(index, [ComponentGroup(*g) for g in groups]))
+                layer = CrossModalLayer([ComponentGroup(*g) for g in groups])
+            if index != position:
+                raise InvariantError(f"cross-modal layer {position} has index {index}")
+            layers.append(layer)
         embed_dims = list_attr(attrs, "embed_dims", int)
         misc_params = typed_attr(attrs, "misc_params", int) if "misc_params" in attrs else 0
         return SyntheticModel(vision_layers, layers, tensors, tuple(embed_dims), misc_params)

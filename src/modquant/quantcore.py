@@ -275,7 +275,13 @@ def _upper_triangular_inverse(r: np.ndarray) -> np.ndarray:
 
 
 def proxy_loss(W: np.ndarray, q: QuantizedMatrix, H: np.ndarray) -> float:
-    """Hessian-weighted reconstruction error trace(D^T H D) / O."""
-    d = (check_matrix(W) - dequantize_matrix(q)).astype(np.float64)
+    """Hessian-weighted reconstruction error trace(D^T H D) / O, where D is
+    W minus q dequantized. InvariantError unless q has W's (n, O) shape and
+    H is (n, n)."""
+    W = check_matrix(W)
     h = np.asarray(H, dtype=np.float64)
+    if q.shape != W.shape or h.shape != (W.shape[0],) * 2:
+        raise InvariantError(f"proxy_loss needs q of W's shape {W.shape} and H of "
+                             f"({W.shape[0]}, {W.shape[0]}), got {q.shape} and {h.shape}")
+    d = (W - dequantize_matrix(q)).astype(np.float64)
     return float(np.sum(d * (h @ d)) / d.shape[1])

@@ -179,5 +179,8 @@ def test_calibration_container_roundtrip(tmp_path):
 
 def test_vision_seq_len():
     assert vision_seq_len(224, 14) == 16 * 16 + 1
-    with pytest.raises(InvariantError):
-        vision_seq_len(224, 15)
+    assert vision_seq_len(14, 14) == 2
+    # sizes <= 0 pass the divisibility check alone: 0 % 14 == -28 % 14 == 0
+    for image_size, patch_size in [(224, 15), (0, 14), (-28, 14), (14, 0), (-14, -14)]:
+        with pytest.raises(InvariantError):
+            vision_seq_len(image_size, patch_size)

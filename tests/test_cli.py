@@ -5,6 +5,7 @@ import pytest
 
 from modquant import (
     CalibrationSet,
+    TileConfig,
     generate_model,
     load_checkpoint,
     load_container,
@@ -14,6 +15,7 @@ from modquant import (
     write_container,
 )
 from modquant.cli import main
+from modquant.kernel import tile_plan
 
 FOUR_QUESTION_FIXTURE = [
     {"question_id": 1, "passes": [["A", "A"]]},
@@ -315,10 +317,15 @@ def test_bench_with_trace(workspace, capsys):
                "--configs", str(cfgs), "--runs", "3", "--trace", str(trace)])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "median_ns" in out and "*" in out
+    assert "median_ns" in out
+    [best] = [line for line in out.splitlines() if line.endswith(" *")]
+    tiles, slabs = tile_plan(16, 32, 16, TileConfig(**json.loads(best.rsplit(" ", 2)[0])))
     spans = json.loads(trace.read_text())
-    assert sum(s["label"] == "forward" for s in spans) == 1
-    assert any(s["label"] == "tile" for s in spans)
+    labels = [s["label"] for s in spans]
+    assert labels.count("forward") == 1
+    # the two configs run 4 tiles of 4 slabs and 1 tile of 2 slabs
+    assert labels.count("tile") == len(tiles)
+    assert labels.count("dequant") == len(tiles) * len(slabs)
 
 
 def test_bench_malformed_configs(workspace, capsys):

@@ -309,6 +309,64 @@ class TestByteIdentity:
             assert rel_err(out, ref) <= 1e-6
 
 
+class TestTilePlan:
+    @pytest.mark.parametrize("m,n_tiles,tile_slabs,redundancy", [(1, 2, 4, 1), (256, 8, 16, 4)])
+    def test_benchmark_small_geometries(self, m, n_tiles, tile_slabs, redundancy):
+        # Per call at the benchmark self-test's decode (M=1) and prefill
+        # (M=256) sizes, dim 512 under TileConfig(64, 256, 256): each
+        # M-tile dequantizes every (k-slab, d-tile) pair once more.
+        tiles, slabs = kernel.tile_plan(m, 512, 512, TileConfig(64, 256, 256))
+        assert len(tiles) == n_tiles
+        assert len(tiles) * len(slabs) == tile_slabs
+        d_tiles = {(d0, d1) for *_, d0, d1 in tiles}
+        assert tile_slabs == redundancy * len(slabs) * len(d_tiles)
+
+    @pytest.mark.parametrize("m,k,d", [(70, 120, 33), (1, 512, 512), (256, 64, 300), (9, 8, 8)])
+    @pytest.mark.parametrize("cfg", [TileConfig(8, 8, 8), TileConfig(64, 16, 32, 2),
+                                     TileConfig(256, 256, 256, 3)])
+    def test_tiles_and_slabs_partition_the_product(self, m, k, d, cfg):
+        tiles, slabs = kernel.tile_plan(m, k, d, cfg)
+        assert tiles == sorted(tiles)  # row-major submission order
+        cover = np.zeros((m, d), dtype=int)
+        for m0, m1, d0, d1 in tiles:
+            assert 0 < m1 - m0 <= cfg.block_m and 0 < d1 - d0 <= cfg.block_d
+            cover[m0:m1, d0:d1] += 1
+        assert (cover == 1).all()
+        # contiguous from 0 to k, every slab but the last a full block_k
+        assert [k0 for k0, _ in slabs] == [0] + [k1 for _, k1 in slabs[:-1]]
+        assert slabs[-1][1] == k
+        assert all(k1 - k0 == cfg.block_k for k0, k1 in slabs[:-1])
+        assert 0 < slabs[-1][1] - slabs[-1][0] <= cfg.block_k
+
+    @pytest.mark.parametrize("bits,m,k,d", [(4, 70, 120, 33), (2, 17, 96, 40), (8, 5, 36, 9)])
+    @pytest.mark.parametrize("cfg", [TileConfig(8, 8, 16), TileConfig(16, 32, 32, 2),
+                                     TileConfig(64, 16, 64, 3)])
+    def test_traced_quant_matmul_runs_the_plan(self, bits, m, k, d, cfg):
+        tracer = Tracer()
+        layer = packed_layer(k, d, 21, bits=bits)
+        quant_matmul(seeded_random_matrix(m, k, 22), layer, cfg, tracer=tracer)
+        tiles, slabs = kernel.tile_plan(m, k, d, cfg)
+        tile_ids = [s.span_id for s in tracer.spans if s.label == "tile"]
+        parents = [s.parent for s in tracer.spans if s.label == "dequant"]
+        assert len(tile_ids) == len(tiles)
+        assert len(parents) == len(tiles) * len(slabs)
+        assert all(parents.count(t) == len(slabs) for t in tile_ids)
+
+    def test_quant_matmul_follows_a_substituted_plan(self, monkeypatch):
+        # A plan that no config gives, with uneven word-aligned slabs: the
+        # kernel still computes the product, and its spans count that plan.
+        layer = packed_layer(64, 24, 23, bias=np.ones(24, dtype=np.float32))
+        a = seeded_random_matrix(10, 64, 24)
+        plan = ([(0, 10, 16, 24), (0, 3, 0, 16), (3, 10, 0, 16)], [(0, 8), (8, 40), (40, 64)])
+        monkeypatch.setattr(kernel, "tile_plan", lambda m, k, d, cfg: plan)
+        tracer = Tracer()
+        out = quant_matmul(a, layer, TileConfig(8, 8, 8), tracer=tracer)
+        labels = [s.label for s in tracer.spans]
+        assert labels.count("tile") == 3 and labels.count("dequant") == 9
+        ref = reference_matmul(a, dequantize_packed(layer), layer.bias)
+        assert rel_err(out, ref) <= 1e-6
+
+
 class TestSpans:
     def test_empty_label_rejected(self):
         tracer = Tracer()

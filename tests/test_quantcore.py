@@ -411,8 +411,8 @@ def assert_pipeline_matches_row_loop(vision, crossmodal, dim, seed, rows, sample
         hessians[("vision", i)] = hessian_from_samples(xs, dim, cfg.damp_ratio)
         xs = [x @ model.weights[name] for x in xs]
     xs = calib_m.samples
-    for layer in model.crossmodal_layers:
-        hessians[("crossmodal", layer.index)] = hessian_from_samples(
+    for i, layer in enumerate(model.crossmodal_layers):
+        hessians[("crossmodal", i)] = hessian_from_samples(
             xs, dim, cfg.damp_ratio)
         xs = [model.forward_crossmodal_layer(layer, x) for x in xs]
 
@@ -465,6 +465,20 @@ class TestProxyLoss:
             for q in (rtn_quantize(w, cfg), qg):
                 ref = einsum_proxy_loss(w, q, h)
                 assert proxy_loss(w, q, h) == pytest.approx(ref, rel=1e-12)
+
+    def test_rejects_mismatched_shapes(self):
+        # The arithmetic alone catches neither: a q of another shape
+        # broadcasts against W, and an H that is not (n, n) fails in numpy.
+        cfg = QuantConfig(bits=4, groupsize=8)
+        w = seeded_random_matrix(8, 4, 1)
+        h = spd_hessian(8, 2)
+        for q, hh in [(rtn_quantize(seeded_random_matrix(8, 1, 3), cfg), h),
+                      (rtn_quantize(seeded_random_matrix(16, 4, 3), cfg), h),
+                      (rtn_quantize(w, cfg), h[:, :4]),
+                      (rtn_quantize(w, cfg), spd_hessian(16, 2)),
+                      (rtn_quantize(w, cfg), np.diag(h))]:
+            with pytest.raises(InvariantError, match="proxy_loss needs"):
+                proxy_loss(w, q, hh)
 
 
 def test_group_index_minus_one():
