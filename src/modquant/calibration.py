@@ -39,6 +39,8 @@ def hessian_from_samples(samples, dim: int, damp_ratio: float) -> np.ndarray:
     and lambda = damp_ratio * mean(diag(H)).
 
     The sum runs in f32 in sample order and is symmetrized before damping.
+    A lambda of 0, or a Hessian or damped diagonal that f32 cannot hold,
+    is a NumericError, checked in f64 before the damping is cast to f32.
     Definiteness is not checked here: GPTQ's factorization
     (`inverse_hessian_factor`) raises NumericError on a damped Hessian it
     cannot factorize.
@@ -48,16 +50,24 @@ def hessian_from_samples(samples, dim: int, damp_ratio: float) -> np.ndarray:
     if not math.isfinite(damp_ratio) or damp_ratio <= 0:
         raise InvariantError(f"damp_ratio must be finite and > 0, got {damp_ratio}")
     h = np.zeros((dim, dim), dtype=np.float32)
-    for s in samples:
-        x = check_matrix(s)
-        if x.shape[1] != dim:
-            raise InvariantError(f"sample has {x.shape[1]} columns, "
-                                 f"Hessian expects {dim}")
-        h += 2.0 * (x.T @ x)
-    h = (h + h.T) / 2.0
-    lam = damp_ratio * float(np.mean(np.diag(h)))
+    # An f32 overflow leaves inf or NaN in h, which the check below reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in samples:
+            x = check_matrix(s)
+            if x.shape[1] != dim:
+                raise InvariantError(f"sample has {x.shape[1]} columns, "
+                                     f"Hessian expects {dim}")
+            h += 2.0 * (x.T @ x)
+        h = (h + h.T) / 2.0
+    diag = np.diag(h).astype(np.float64)
+    lam = damp_ratio * float(np.mean(diag))
     if lam <= 0:
         raise NumericError("all-zero Hessian: damping produced lambda = 0")
+    if not (np.isfinite(h).all() and diag.max() + lam <= np.finfo(np.float32).max):
+        raise NumericError(
+            f"damped Hessian is not finite in f32 (lambda = {lam:.6g}); "
+            "lower damp_ratio or rescale the calibration"
+        )
     return h + np.float32(lam) * np.eye(dim, dtype=np.float32)
 
 

@@ -161,11 +161,11 @@ class PackedLinear:
 
 
 def pack_linear(q: QuantizedMatrix, bias: np.ndarray | None = None) -> PackedLinear:
-    with np.errstate(over="ignore"):  # an overflow is inf, which PackedLinear rejects
-        scales = q.params.scales.astype(np.float16)
+    """Pack `q` with a copy of its float16 scales, so that
+    `dequantize_packed(pack_linear(q))` equals `dequantize_matrix(q)`."""
     return PackedLinear(
         qweight=pack_weights(q.qint, q.bits),
-        scales=scales,
+        scales=q.params.scales.copy(),
         qzeros=pack_zeros(q.params.zeros, q.bits),
         g_idx=q.params.g_idx.astype(np.int32),
         bias=None if bias is None else np.asarray(bias, dtype=np.float32),

@@ -121,6 +121,7 @@ def quantize_model(
         "method": method,
         "bits": cfg.bits,
         "groupsize": cfg.groupsize,
+        "symmetric": cfg.symmetric,
         "damp_ratio": cfg.damp_ratio,
         "hessian_sharing": "one Hessian per cross-modal layer, shared by all "
                            "four groups (single input-feature space)",

@@ -19,7 +19,9 @@ import numpy as np
 from .errors import InvariantError, NumericError
 from .tensorio import check_matrix
 
-SCALE_FLOOR = 1e-8
+# The range of a group scale: float16's smallest subnormal and its largest value.
+SCALE_FLOOR = 2.0**-24
+SCALE_MAX = float(np.finfo(np.float16).max)  # 65504
 SUPPORTED_BITS = (2, 4, 8)
 # Rows per lazy-update block of the GPTQ sweep, and per sub-block inside it.
 GPTQ_BLOCK = 128
@@ -57,7 +59,12 @@ class QuantConfig:
 
 @dataclass
 class GroupQuantParams:
-    scales: np.ndarray  # (G, O) f32, strictly positive
+    """Scales and zero points of a G x O group grid. The scales are float16,
+    the one set that quantization, dequantization, the proxy loss, the
+    checkpoint and the kernel all read: fitted in `compute_group_params`,
+    widened exactly to f32 or f64 wherever they are computed with."""
+
+    scales: np.ndarray  # (G, O) f16, in [SCALE_FLOOR, SCALE_MAX]
     zeros: np.ndarray   # (G, O) int32 in [0, 2^N - 1]
     g_idx: np.ndarray   # (I,) int32, nondecreasing
 
@@ -89,45 +96,68 @@ def group_index(n_rows: int, groupsize: int) -> np.ndarray:
 
 
 def compute_group_params(W: np.ndarray, cfg: QuantConfig) -> GroupQuantParams:
-    """Fit per-(group, column) scales and integer zero points.
+    """Fit per-(group, column) float16 scales and integer zero points.
 
     Asymmetric: scale = (max - min) / maxq, zero = clamp(round(-min /
     scale), 0, maxq), with the range widened to include 0 so a constant
     column lands exactly on a grid point. Symmetric: scale = max|w| /
-    (2^(N-1) - 1), zero = 2^(N-1). Both floor the scale at SCALE_FLOOR.
-    W is a matrix that `check_matrix` has already accepted.
+    (2^(N-1) - 1), zero = 2^(N-1). The scale is computed in f64, floored
+    at SCALE_FLOOR and rounded up to the next float16, so maxq * scale
+    still spans the group (rounding to nearest could shrink it below the
+    range); the zero point is fitted to that stored scale. A scale above
+    SCALE_MAX (65504, float16's largest) is an InvariantError, raised
+    before any cast. W is a matrix that `check_matrix` has already accepted.
+
+    SCALE_FLOOR is float16's smallest subnormal, 2^-24, below which a scale
+    would flush to 0. Float16's smallest normal (~6.1e-5) would be too
+    coarse a floor: every scale of ~1e-6 weights would sit on it, and a
+    4-bit group would round to a single code, for a relative error of 1.
     """
     n_rows, n_cols = W.shape
     gs = rows_per_group(n_rows, cfg.groupsize)
     g_idx = group_index(n_rows, cfg.groupsize)
     n_groups = int(g_idx[-1]) + 1
 
-    scales = np.empty((n_groups, n_cols), dtype=np.float32)
+    scales = np.empty((n_groups, n_cols), dtype=np.float16)
     zeros = np.empty((n_groups, n_cols), dtype=np.int32)
     for g in range(n_groups):
         block = W[g * gs : min((g + 1) * gs, n_rows)]
         if cfg.symmetric:
-            amax = np.abs(block).max(axis=0)
-            s = np.maximum(amax / float((1 << (cfg.bits - 1)) - 1), SCALE_FLOOR)
-            z = np.full(n_cols, 1 << (cfg.bits - 1), dtype=np.int32)
+            amax = np.abs(block).max(axis=0).astype(np.float64)
+            scales[g] = _float16_scales(amax / ((1 << (cfg.bits - 1)) - 1))
+            zeros[g] = 1 << (cfg.bits - 1)
         else:
-            lo = np.minimum(block.min(axis=0), 0.0)
-            hi = np.maximum(block.max(axis=0), 0.0)
-            s = np.maximum((hi - lo) / float(cfg.maxq), SCALE_FLOOR)
-            z = np.clip(np.round(-lo / s), 0, cfg.maxq).astype(np.int32)
-        scales[g] = s
-        zeros[g] = z
+            lo = np.minimum(block.min(axis=0).astype(np.float64), 0.0)
+            hi = np.maximum(block.max(axis=0).astype(np.float64), 0.0)
+            scales[g] = _float16_scales((hi - lo) / cfg.maxq)
+            zeros[g] = np.clip(np.round(-lo / scales[g]), 0, cfg.maxq)
     return GroupQuantParams(scales, zeros, g_idx)
+
+
+def _float16_scales(s: np.ndarray) -> np.ndarray:
+    """The smallest float16 >= max(s, SCALE_FLOOR), elementwise; an
+    InvariantError if any s exceeds SCALE_MAX."""
+    s = np.maximum(s, SCALE_FLOOR)
+    if s.max() > SCALE_MAX:
+        raise InvariantError(
+            f"group scale {s.max():.6g} exceeds {SCALE_MAX:g}, float16's largest "
+            "value, so the checkpoint cannot store it"
+        )
+    s16 = s.astype(np.float16)
+    below = s16 < s
+    s16[below] = np.nextafter(s16[below], np.float16(np.inf))
+    return s16
 
 
 def rtn_quantize(W: np.ndarray, cfg: QuantConfig) -> QuantizedMatrix:
     """Round each weight independently to the nearest grid point:
     qint = clip(round(w / s) + z, 0, maxq) with (s, z) of the row's group.
 
-    Runs one row group at a time in f32. w / s and its rounding are f32
-    either way; the f32 sum round(w / s) + z is exact, because both terms
-    are integers and |round(w / s)| <= maxq <= 255 (the scale spans the
-    group's range, and flooring it at SCALE_FLOOR only shrinks the
+    Runs one row group at a time in f32, with the float16 scale widened
+    exactly to f32. w / s and its rounding are f32 either way; the f32 sum
+    round(w / s) + z is exact, because both terms are integers and
+    |round(w / s)| <= maxq <= 255 (the scale is rounded up so that it spans
+    the group's range, and flooring it at SCALE_FLOOR only shrinks the
     quotient). So the result equals the same formula evaluated in f64.
     """
     W = check_matrix(W)
@@ -150,9 +180,9 @@ def dequantize_codes(codes: np.ndarray, zeros: np.ndarray, scales: np.ndarray) -
     gather each row's group (zeros[g_idx], scales[g_idx]).
 
     codes - zeros is formed in int32 and converted to f32 (exact, |q - z| <
-    2^8); its f32 product with an f32 scale is the correctly rounded exact
-    product, so this equals the same formula evaluated in f64 and rounded
-    to f32.
+    2^8); its f32 product with a scale (float16 widened exactly, or f32) is
+    the correctly rounded exact product, so this equals the same formula
+    evaluated in f64 and rounded to f32.
     """
     codes -= zeros
     out = codes.astype(np.float32)

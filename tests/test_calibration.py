@@ -85,6 +85,15 @@ class TestFinalize:
         with pytest.raises(NumericError, match="all-zero Hessian"):
             hessian_from_samples([], 3, 0.01)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x,damp_ratio", [
+        (seeded_random_matrix(8, 4, 5), 1e38),  # lambda finite in f64, not in f32
+        (np.full((8, 4), 1e20, np.float32), 0.01),  # X^T X overflows f32
+    ], ids=["damping", "samples"])
+    def test_hessian_beyond_float32_rejected(self, x, damp_ratio):
+        with pytest.raises(NumericError, match="not finite in f32"):
+            hessian_from_samples([x], 4, damp_ratio)
+
     def test_subtracting_damping_recovers_raw(self):
         x = seeded_random_matrix(20, 5, 6)
         acc = 2.0 * (x.T @ x)  # the f32 sum of one sample

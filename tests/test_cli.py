@@ -276,9 +276,11 @@ def test_quantize_all_zero_calibration_is_numeric_error(workspace, capsys):
     assert not (workspace / "x.bin").exists()
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("method", [[], ["--rtn"]], ids=["gptq", "rtn"])
 def test_quantize_float16_scale_overflow_is_invariant_error(workspace, capsys, method):
-    # finite weights up to ~4.7e6 give 4-bit g32 scales above float16's 65504
+    # finite weights up to ~4.7e6 give 4-bit g32 scales above float16's 65504,
+    # rejected when the scales are fitted, before any cast can warn
     model = generate_model(1, 0, 64, 1)
     model.weights["vision.0.proj"] *= np.float32(1e7)
     save_model(model, workspace / "big.bin")
@@ -290,8 +292,30 @@ def test_quantize_float16_scale_overflow_is_invariant_error(workspace, capsys, m
                "--bits", "4", "--groupsize", "32", *method,
                "--out", str(workspace / "x.bin")])
     assert rc == 4
-    assert "scales must be finite" in capsys.readouterr().err
+    assert "exceeds 65504, float16's largest value" in capsys.readouterr().err
     assert not (workspace / "x.bin").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", [[], ["--rtn"]], ids=["gptq", "rtn"])
+def test_quantize_damping_beyond_float32_is_numeric_error(tmp_path, capsys, method):
+    # lambda = 1e38 * mean(diag(H)) has no f32 value: the damped Hessian is
+    # rejected before the damping is cast, for RTN too, which never factorizes
+    paths = {name: str(tmp_path / f"{name}.bin") for name in ("model", "cv", "cm")}
+    assert main(["gen-model", "--vision-layers", "1", "--crossmodal-layers", "1",
+                 "--dim", "64", "--seed", "1", "--out", paths["model"]]) == 0
+    for module, seed in (("vision", "2"), ("crossmodal", "3")):
+        assert main(["gen-calib", "--module", module, "--dim", "64", "--samples", "1",
+                     "--seqlen", "16", "--seed", seed,
+                     "--out", paths["cv" if module == "vision" else "cm"]]) == 0
+    capsys.readouterr()
+    rc = main(["quantize", "--model", paths["model"], "--calib-v", paths["cv"],
+               "--calib-m", paths["cm"], "--bits", "4", "--damp-ratio", "1e38", *method,
+               "--out", str(tmp_path / "x.bin")])
+    assert rc == 5
+    assert "damped Hessian is not finite in f32" in capsys.readouterr().err
+    assert not (tmp_path / "x.bin").exists()
+    assert not (tmp_path / "x.bin.report.json").exists()
 
 
 def test_pack_roundtrip_command(capsys):

@@ -15,12 +15,16 @@ from modquant import (
     dequantize_packed,
     estimate_packed_size,
     generate_model,
+    gptq_quantize,
+    hessian_from_samples,
+    inverse_hessian_factor,
     lanes_per_word,
     pack_linear,
     pack_weights,
     pack_zeros,
     rtn_quantize,
     seeded_random_matrix,
+    synthetic_activations,
     unpack_weights,
     unpack_zeros,
 )
@@ -178,10 +182,9 @@ class TestPackLinear:
         layer = pack_linear(q, bias=np.arange(24, dtype=np.float32))
         assert np.array_equal(layer.unpack_qint(), q.qint)
         assert np.array_equal(layer.unpack_zero_codes(), q.params.zeros)
-        # dequantization agrees up to the f16 round-trip of the scales
-        ref = dequantize_matrix(q)
-        got = dequantize_packed(layer)
-        assert np.allclose(got, ref, rtol=1e-3, atol=1e-5)
+        # the layer stores the very float16 scales q was quantized with
+        assert layer.scales.tobytes() == q.params.scales.tobytes()
+        assert dequantize_packed(layer).tobytes() == dequantize_matrix(q).tobytes()
 
     def test_exact_when_scales_f16_representable(self):
         params_grid = np.arange(16, dtype=np.float32).reshape(16, 1)
@@ -203,15 +206,15 @@ class TestPackLinear:
         with pytest.raises(InvariantError, match="f_int"):
             pack_linear(q)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_float16_scale_overflow_rejected(self, symmetric):
-        # finite f32 scales of ~6e5 (a 4-bit group range of ~9.4e6) have no
-        # float16 value
+        # scales of ~6e5 (a 4-bit group range of ~9.4e6) have no float16
+        # value: rejected when they are fitted, before any cast can warn
         w = generate_model(1, 0, 64, 1).weights["vision.0.proj"] * np.float32(1e7)
-        q = rtn_quantize(w, QuantConfig(bits=4, groupsize=32, symmetric=symmetric))
-        assert np.isfinite(q.params.scales).all()
-        with pytest.raises(InvariantError, match="scales must be finite"):
-            pack_linear(q)
+        cfg = QuantConfig(bits=4, groupsize=32, symmetric=symmetric)
+        with pytest.raises(InvariantError, match="exceeds 65504, float16's largest"):
+            rtn_quantize(w, cfg)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_scale_rejected(self, bad):
@@ -220,6 +223,37 @@ class TestPackLinear:
         layer.scales[1, 2] = bad
         with pytest.raises(InvariantError, match="scales must be finite"):
             PackedLinear(**vars(layer))
+
+
+@pytest.mark.parametrize("weight_scale", [1.0, 1e-6])
+@pytest.mark.parametrize("method", ["rtn", "gptq"])
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("groupsize", [-1, 16, 32])
+@pytest.mark.parametrize("bits", [2, 4, 8])
+def test_packed_layer_dequantizes_to_the_quantized_bytes(bits, groupsize, symmetric,
+                                                         method, weight_scale):
+    # One set of scales: the checkpoint stores exactly the float16 scales
+    # that quantization fitted and rounded against, so the stored layer is
+    # the quantized matrix byte for byte, tiny weights included.
+    w = seeded_random_matrix(64, 24, bits * 100 + groupsize) * np.float32(weight_scale)
+    cfg = QuantConfig(bits=bits, groupsize=groupsize, symmetric=symmetric)
+    if method == "rtn":
+        q = rtn_quantize(w, cfg)
+    else:
+        h = hessian_from_samples([synthetic_activations(128, 64, bits)], 64, 0.01)
+        q = gptq_quantize(w, cfg, factor=inverse_hessian_factor(h))
+    layer = pack_linear(q)
+    assert (layer.scales > 0).all()
+    assert dequantize_packed(layer).tobytes() == dequantize_matrix(q).tobytes()
+
+
+def test_tiny_weights_keep_their_scales():
+    # Weights of ~1e-6 give scales far below float16's smallest normal
+    # (~6.1e-5); the 2^-24 floor and rounding up keep every one nonzero.
+    w = generate_model(1, 0, 64, 1).weights["vision.0.proj"] * np.float32(1e-6)
+    layer = pack_linear(rtn_quantize(w, QuantConfig(bits=4, groupsize=32)))
+    assert np.count_nonzero(layer.scales == 0) == 0
+    assert np.linalg.norm(dequantize_packed(layer) - w) <= 0.2 * np.linalg.norm(w)
 
 
 # Each breaks one rule of the layout of a 64 x 24 4-bit g16 layer with a bias
@@ -264,24 +298,24 @@ def test_packed_linear_fields_cannot_be_rebound():
 # are elementwise, with no BLAS, so these bytes are the same on every platform;
 # a changed digest means a fixed seed no longer gives the same checkpoint.
 RTN_GOLDEN_DIGESTS = {
-    (2, -1, False): "39f5fc3cee411695807aa8d4650d0f30c5ad77f3b0bea426ecbcc0d5e1b24608",
-    (2, -1, True): "50e86e8a50fc7e7d9d21bb9040e0982e5b6ba4269c04d1bc810965029a602dd8",
-    (2, 1, False): "1de4e428b1ef409260492145faff92b7de59242d522ff68dd353ca8f6bdef63b",
-    (2, 1, True): "b661e4bf315307420fe3485e3788d1031fb090aa0bf6880c1f627f815a6ce1e7",
-    (2, 48, False): "8d27a953e9f09912bd93c27ee81bc8b06d33baa572ba4dbae4bbbf0a8a75ca99",
-    (2, 48, True): "4560075e934861abe68feef6180f0be35acd8ce8b558839b3b6856958002ea52",
-    (4, -1, False): "628e84c76c51174a6992c200efa7b21b17291be3b01c0a5b2da559d0c98e17cb",
-    (4, -1, True): "4062bf826363bca65dae8b436a271b8f1b429626250044a1373fdce67d9e2984",
-    (4, 1, False): "95bb516f10f15372693fb0e8ecda69eec6f5565a4d84ad4636139b57ec6080d8",
-    (4, 1, True): "ba659b8d8ffc38978c372626653d085b665f047651e06a2708e255e93cc988ef",
-    (4, 48, False): "9f9278200fbdc62d772e147f615e1284c826490f80012001d959bab6caaa7e8d",
-    (4, 48, True): "90d0a30f600a811623931c115cccda40fa096696064b5726227051af63405612",
-    (8, -1, False): "2d738ce514040a7e2446f09cf8d24dde9e9006b2f048e245fd08a155592bacf2",
-    (8, -1, True): "a856c9be61cc2b79f62bc6c6f11807f9cefffdc92dc144e1f6f8910c23aaff59",
-    (8, 1, False): "19396da243538b8da68bf088c85a4d2dab237fddb74e00dc3d40b74b802f78d2",
-    (8, 1, True): "b2527dbaf6930beef8a08a36e52f07a42debf3a0da315b27ad2b368bb62cfcc5",
-    (8, 48, False): "b7f2b3ea217bb976b1df8248c581837324a482521a50c35ab9bb65e0258f688e",
-    (8, 48, True): "11f87dc1d61fb4b86a7eb051b6554e9378a5047b8e8f234f1e3a997c09525f0a",
+    (2, -1, False): "554629f5bfa9ce9c3611ae66d6eb6c592b10defe28c65d1f28dd6b0f02ffef0e",
+    (2, -1, True): "c4938a3eca34e1968a7507ebda51aa7f3a2582c2d26c8e04e42281b2aea3c9c0",
+    (2, 1, False): "22fc714f4634d1fb472e9403bd3e0b7d6f13d4751a6f8ec976e0e1e9609fa164",
+    (2, 1, True): "fcb30d341a03eaaa0e9a11b19330682e1757b5e0e72f286b9539e6fc0f8a32c4",
+    (2, 48, False): "9f8688a48db26e33158933d2befc98e924e10a0a8e24eb4d58d5529d92fa75e6",
+    (2, 48, True): "d61a1583e32802186870e302603c22ff5fef7f77b669b312e49518551ccfd942",
+    (4, -1, False): "48b4593255d7c3cf3d78b7ad7b03d991ea3423c60749c22c390b4cc9dc6117c7",
+    (4, -1, True): "541b2be553d85e21abe4338bfc76b65a38543c20ee5743f24f61c628d449012a",
+    (4, 1, False): "42ba6ad508fe2e64bd6dc79426c5d53477419ed1b69ea163a3c35407c599e026",
+    (4, 1, True): "1834047cafaad18303aaca2d6267fc4d27ced5e2d82c87c8de5b50281185fd38",
+    (4, 48, False): "d4070aaf13fcdd22a96dd90777c04dfe5467c871a1748a2f56af3dcd8777eea3",
+    (4, 48, True): "209a44d3d566debb72cf94f11ca96ec4e194e726eeba7f3983bbb1b6dad7361d",
+    (8, -1, False): "15ac9168ede3438b7c649b743c99441a1b3238f2ef5bcc836923310c90a13a86",
+    (8, -1, True): "9759e2bb218b3b7f5b3732f4b86216f1fac1723eee678b45273d30d59b5b73a0",
+    (8, 1, False): "cdf1e51fb89d04e49cd14c1f31d32427c43f0bec7b1794e967b3f6124d5333cc",
+    (8, 1, True): "93183f910afc5404b3df2e6101d985fc56a0d8b15a0de16555f52d9d8421e063",
+    (8, 48, False): "f6331e20ae3dfa6c63d04f4a6deda2831fa1dc984c806176ad4ea2d857177cc9",
+    (8, 48, True): "59bdafe08a2a8c0e8c9545fa561e600c87278e162391da8c7ada4e8290cf36de",
 }
 
 

@@ -11,6 +11,7 @@ from modquant import (
     CalibrationSet,
     FormatError,
     InvariantError,
+    NumericError,
     QuantConfig,
     TileConfig,
     circular_eval_accuracy,
@@ -129,6 +130,12 @@ class TestQuantizeModel:
         ck = quantize_model(model, calib("vision", 10), calib("crossmodal", 20),
                             CFG, method="rtn")
         assert ck.report["method"] == "rtn"
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_symmetric_recorded(self, model, symmetric):
+        cfg = dataclasses.replace(CFG, symmetric=symmetric)
+        ck = quantize_model(model, calib("vision", 10), calib("crossmodal", 20), cfg)
+        assert ck.report["symmetric"] is symmetric
 
     @pytest.mark.parametrize("method", ["gptq", "rtn"])
     def test_one_factor_per_hessian_block(self, model, monkeypatch, method):
@@ -582,17 +589,29 @@ def test_load_model_rejects_weight_shapes(tmp_path, mutation):
     groupsize=st.sampled_from([-1, 8, 12, 40]),
     symmetric=st.booleans(),
     method=st.sampled_from(["gptq", "rtn"]),
+    weight_scale=st.sampled_from([1.0, 1e-6]),
 )
-@example(layers=(1, 0), dim=8, bits=2, groupsize=-1, symmetric=False, method="rtn")
-@example(layers=(2, 2), dim=64, bits=4, groupsize=12, symmetric=True, method="gptq")
-@example(layers=(0, 1), dim=48, bits=2, groupsize=40, symmetric=False, method="gptq")
+@example(layers=(1, 0), dim=8, bits=2, groupsize=-1, symmetric=False, method="rtn",
+         weight_scale=1.0)
+@example(layers=(2, 2), dim=64, bits=4, groupsize=12, symmetric=True, method="gptq",
+         weight_scale=1.0)
+@example(layers=(0, 1), dim=48, bits=2, groupsize=40, symmetric=False, method="gptq",
+         weight_scale=1.0)
+@example(layers=(1, 1), dim=64, bits=4, groupsize=32, symmetric=False, method="rtn",
+         weight_scale=1e-6)
 def test_quantize_save_load_and_matmul_agree(tmp_path_factory, layers, dim, bits,
-                                             groupsize, symmetric, method):
+                                             groupsize, symmetric, method, weight_scale):
     """quantize -> save -> load gives the same layer bytes and report, and
     the kernel matches A @ dequantize_packed (criterion 3's bound) at 1 and 2
     workers. Groupsizes 12 and 40 leave a short last group at some dims; a
-    dim that is not a multiple of f_int is the documented InvariantError."""
+    dim that is not a multiple of f_int is the documented InvariantError.
+    Weights scaled by 1e-6 have scales far below float16's normal range.
+    With those, a second cross-modal layer reads calibration chained through
+    four 1e-6 matrices (~1e-24), whose f32 Hessian underflows to the
+    all-zero NumericError."""
     model = generate_model(*layers, dim, seed=dim + bits)
+    for w in model.weights.values():
+        w *= np.float32(weight_scale)
     calib_v, calib_m = (
         CalibrationSet(module, [synthetic_activations(2 * dim, dim, seed)])
         for module, seed in (("vision", 1), ("crossmodal", 2))
@@ -600,6 +619,10 @@ def test_quantize_save_load_and_matmul_agree(tmp_path_factory, layers, dim, bits
     cfg = QuantConfig(bits=bits, groupsize=groupsize, symmetric=symmetric)
     if dim % (32 // bits):
         with pytest.raises(InvariantError, match="f_int"):
+            quantize_model(model, calib_v, calib_m, cfg, method)
+        return
+    if weight_scale < 1 and layers[1] > 1:
+        with pytest.raises(NumericError, match="all-zero Hessian"):
             quantize_model(model, calib_v, calib_m, cfg, method)
         return
     ckpt = quantize_model(model, calib_v, calib_m, cfg, method)

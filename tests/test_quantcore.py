@@ -103,7 +103,10 @@ class TestGroupParams:
         w = np.full((8, 1), 3.7, dtype=np.float32)
         cfg = QuantConfig(bits=4, groupsize=-1)
         p = compute_group_params(w, cfg)
-        assert p.scales[0, 0] == pytest.approx(3.7 / 15)
+        # the scale is the smallest float16 at or above the range / maxq
+        s = p.scales[0, 0]
+        assert s.dtype == np.float16
+        assert np.nextafter(s, np.float16(0)) < np.float32(3.7) / 15 <= s
         assert p.zeros[0, 0] == 0
         q = round_to_grid(w, p, cfg.bits)
         assert np.array_equal(q.qint, rtn_quantize(w, cfg).qint)
@@ -114,8 +117,16 @@ class TestGroupParams:
         w = np.zeros((8, 1), dtype=np.float32)
         cfg = QuantConfig(bits=4, groupsize=-1)
         p = compute_group_params(w, cfg)
-        assert p.scales[0, 0] == pytest.approx(SCALE_FLOOR)
+        assert p.scales[0, 0] == SCALE_FLOOR
         assert not dequantize_matrix(round_to_grid(w, p, cfg.bits)).any()
+
+    @pytest.mark.filterwarnings("error")
+    def test_scale_max_is_float16s_largest(self):
+        # 2-bit symmetric: scale = max |w| / 1, so the column is the scale
+        cfg = QuantConfig(bits=2, groupsize=-1, symmetric=True)
+        assert compute_group_params(np.full((4, 1), 65504.0, np.float32), cfg).scales[0, 0] == 65504
+        with pytest.raises(InvariantError, match="exceeds 65504"):
+            compute_group_params(np.full((4, 1), 65505.0, np.float32), cfg)
 
     def test_group_count_and_g_idx(self):
         w = seeded_random_matrix(256, 4, 0)
@@ -206,12 +217,14 @@ def test_rtn_rounds_half_to_even(symmetric):
 
 # Column generators for the round-to-nearest oracle test. "below floor" spans
 # less than SCALE_FLOOR * maxq for every bit width, so its scale is floored.
+# "huge" stays within |w| <= 6e4, so even a 2-bit symmetric scale (max |w|)
+# is at most float16's largest value, 65504.
 RTN_COLUMNS = {
     "normal": lambda rng, n: rng.standard_normal(n),
     "zero": lambda rng, n: np.zeros(n),
     "constant": lambda rng, n: np.full(n, rng.standard_normal()),
     "below floor": lambda rng, n: rng.uniform(-1, 1, n) * SCALE_FLOOR,
-    "huge": lambda rng, n: rng.standard_normal(n) * 1e30,
+    "huge": lambda rng, n: rng.uniform(-1, 1, n) * 6e4,
 }
 
 
