@@ -19,6 +19,16 @@ from .model import SyntheticModel
 from .tensorio import check_matrix, file_invariants, load_container, typed_attr, write_container
 
 
+def _one_width(samples) -> list[np.ndarray]:
+    """`samples` as matrices that `check_matrix` accepts, all of one width;
+    no samples, or samples of two widths, is an InvariantError."""
+    samples = [check_matrix(s) for s in samples]
+    widths = sorted({s.shape[1] for s in samples})
+    if len(widths) != 1:
+        raise InvariantError(f"need samples of one width, got widths {widths}")
+    return samples
+
+
 @dataclass
 class CalibrationSet:
     module_id: str
@@ -26,17 +36,13 @@ class CalibrationSet:
     aux: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.samples:
-            raise InvariantError("calibration set needs at least one sample")
-        self.samples = [check_matrix(s) for s in self.samples]
-        dims = {s.shape[1] for s in self.samples}
-        if len(dims) > 1:
-            raise InvariantError(f"samples disagree on feature dimension: {dims}")
+        self.samples = _one_width(self.samples)
 
 
-def hessian_from_samples(samples, dim: int, damp_ratio: float) -> np.ndarray:
+def hessian_from_samples(samples, damp_ratio: float) -> np.ndarray:
     """Damped Hessian H + lambda*I, with H = 2 * X^T X summed over `samples`
-    and lambda = damp_ratio * mean(diag(H)).
+    and lambda = damp_ratio * mean(diag(H)). H is d x d for the width d that
+    every sample shares; no samples, or two widths, is an InvariantError.
 
     The sum runs in f32 in sample order and is symmetrized before damping.
     A lambda of 0, or a Hessian or damped diagonal that f32 cannot hold,
@@ -45,18 +51,14 @@ def hessian_from_samples(samples, dim: int, damp_ratio: float) -> np.ndarray:
     (`inverse_hessian_factor`) raises NumericError on a damped Hessian it
     cannot factorize.
     """
-    if dim < 1:
-        raise InvariantError(f"hessian dimension must be >= 1, got {dim}")
     if not math.isfinite(damp_ratio) or damp_ratio <= 0:
         raise InvariantError(f"damp_ratio must be finite and > 0, got {damp_ratio}")
+    samples = _one_width(samples)
+    dim = samples[0].shape[1]
     h = np.zeros((dim, dim), dtype=np.float32)
     # An f32 overflow leaves inf or NaN in h, which the check below reports.
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in samples:
-            x = check_matrix(s)
-            if x.shape[1] != dim:
-                raise InvariantError(f"sample has {x.shape[1]} columns, "
-                                     f"Hessian expects {dim}")
+        for x in samples:
             h += 2.0 * (x.T @ x)
         h = (h + h.T) / 2.0
     diag = np.diag(h).astype(np.float64)
@@ -100,13 +102,10 @@ def capture_calibration(
     'crossmodal' catches after the full vision stack. Forward execution
     stops at the catch point.
     """
-    if not inputs:
-        raise InvariantError("no calibration inputs given")
-    inputs = [check_matrix(x) for x in inputs]
+    inputs = _one_width(inputs)
     d_v = model.embed_dims[0]
-    for x in inputs:
-        if x.shape[1] != d_v:
-            raise InvariantError(f"input dim {x.shape[1]} != model input dim {d_v}")
+    if inputs[0].shape[1] != d_v:
+        raise InvariantError(f"input dim {inputs[0].shape[1]} != model input dim {d_v}")
     if module_selector == "vision":
         if not model.vision_layers:
             raise InvariantError("model has no vision module")

@@ -1,12 +1,8 @@
 """Modality-partitioned quantization pipeline and evaluation metrics.
 
-The model lists its Hessian blocks in processing order, each with the
-calibration input its members read (`SyntheticModel.hessian_blocks`):
-vision layers first, from vision calibration only, then cross-modal
-layers with their groups in the fixed order attn_qkv -> attn_out ->
-mlp_gate_up -> mlp_down. The pipeline quantizes each block against one
-Hessian of that input, so vision quantization never reads any
-cross-modal calibration state.
+`quantize_model` quantizes the blocks of `SyntheticModel.hessian_blocks`
+in the walk's order, each against one Hessian of the calibration input
+the walk gives it: the model, not the pipeline, sets order and sharing.
 """
 
 from __future__ import annotations
@@ -40,30 +36,38 @@ REPORT_SCHEMA_VERSION = 1
 CHECKPOINT_SCHEMA = "quantized-checkpoint/2"
 
 
+def _report_layout(holder) -> tuple[int, int, list[tuple[str, int, int]]]:
+    """The `bits`, `groupsize` and (name, in_features, out_features) list, in
+    order, of the map `holder["report"]`; a missing or mistyped field, and
+    bits and groupsize that `QuantConfig` rejects, is an InvariantError."""
+    report = typed_attr(holder, "report", dict)
+    bits, groupsize = typed_attr(report, "bits", int), typed_attr(report, "groupsize", int)
+    QuantConfig(bits, groupsize)
+    return bits, groupsize, [(typed_attr(e, "name", str), typed_attr(e, "in_features", int),
+                              typed_attr(e, "out_features", int))
+                             for e in list_attr(report, "layers", dict)]
+
+
 @dataclass
 class QuantizedCheckpoint:
     """Packed layers and their report, a saved checkpoint's only manifest: a
-    map whose int `bits` and `groupsize` are every layer's and whose `layers`
-    list names each layer once with its `in_features` and `out_features`;
-    anything else is an InvariantError."""
+    map whose int `bits` and `groupsize`, which `QuantConfig` accepts, are
+    every layer's and whose `layers` list names each layer once with its
+    `in_features` and `out_features`; anything else is an InvariantError."""
 
     layers: dict[str, PackedLinear]
     report: dict
 
     def __post_init__(self):
-        report = typed_attr(vars(self), "report", dict)
-        bits, groupsize = typed_attr(report, "bits", int), typed_attr(report, "groupsize", int)
+        bits, groupsize, listed = _report_layout(vars(self))
         for name, layer in self.layers.items():
             if (layer.bits, layer.groupsize) != (bits, groupsize):
                 raise InvariantError(
                     f"layer {name!r} is packed at bits {layer.bits}, groupsize "
                     f"{layer.groupsize}, but the report says {bits}, {groupsize}"
                 )
-        listed = sorted((typed_attr(e, "name", str), typed_attr(e, "in_features", int),
-                         typed_attr(e, "out_features", int))
-                        for e in list_attr(report, "layers", dict))
         held = sorted((n, layer.in_features, layer.out_features) for n, layer in self.layers.items())
-        if listed != held:
+        if sorted(listed) != held:
             raise InvariantError(f"report 'layers' lists {listed}, but the layers are {held}")
 
 
@@ -93,8 +97,7 @@ def quantize_model(
     for module, layer_idx, members, samples in model.hessian_blocks(calib_v.samples,
                                                                     calib_m.samples):
         calib_hash = _hash_samples(samples)
-        n_in = model.weights[members[0][0]].shape[0]
-        hessian = hessian_from_samples(samples, n_in, cfg.damp_ratio)
+        hessian = hessian_from_samples(samples, cfg.damp_ratio)
         quantize = (partial(gptq_quantize, factor=inverse_hessian_factor(hessian))
                     if method == "gptq" else rtn_quantize)
         for name, group in members:
@@ -123,8 +126,7 @@ def quantize_model(
         "groupsize": cfg.groupsize,
         "symmetric": cfg.symmetric,
         "damp_ratio": cfg.damp_ratio,
-        "hessian_sharing": "one Hessian per cross-modal layer, shared by all "
-                           "four groups (single input-feature space)",
+        "hessian_sharing": model.hessian_sharing,
         "processing_order": [e["name"] for e in entries],
         "layers": entries,
         "misc_params": model.misc_params,
@@ -192,26 +194,21 @@ def load_checkpoint(path) -> QuantizedCheckpoint:
     lists, in that order, built at the report's `bits` and `groupsize`.
 
     A container of another schema (a quantized-checkpoint/1 file too), a
-    missing or mistyped report field, bits and groupsize that `QuantConfig`
-    rejects, a listed layer with a missing tensor or one that `PackedLinear`
-    rejects (named in the message), a tensor of no listed layer, and a
-    report that `QuantizedCheckpoint` rejects, is a FormatError.
+    report that `QuantizedCheckpoint` rejects, a listed layer with a missing
+    tensor or one that `PackedLinear` rejects (named in the message), and a
+    tensor of no listed layer, is a FormatError.
     """
     tensors, attrs = load_container(path)
     with file_invariants(path):
         if attrs.get("schema") != CHECKPOINT_SCHEMA:
             raise InvariantError(f"not a {CHECKPOINT_SCHEMA} container")
-        report = typed_attr(attrs, "report", dict)
-        bits, groupsize = typed_attr(report, "bits", int), typed_attr(report, "groupsize", int)
-        QuantConfig(bits, groupsize)
+        bits, groupsize, listed = _report_layout(attrs)
         layers, claimed = {}, set()
-        for entry in list_attr(report, "layers", dict):
-            name = typed_attr(entry, "name", str)
-            shape = typed_attr(entry, "in_features", int), typed_attr(entry, "out_features", int)
+        for name, *shape in listed:
             with file_invariants(f"{path}: layer {name!r}"):
                 layers[name] = packed_from_tensors(tensors, name, bits, groupsize, *shape)
             claimed |= packed_tensors(layers[name], name).keys()
         stray = tensors.keys() - claimed
         if stray:
             raise InvariantError(f"tensors {sorted(stray)} belong to no layer")
-        return QuantizedCheckpoint(layers, report)
+        return QuantizedCheckpoint(layers, attrs["report"])

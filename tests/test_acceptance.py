@@ -126,9 +126,7 @@ def test_criterion_4_gptq_dominance():
             cols = int(rng.integers(2, 33))
             cfg = QuantConfig(bits=4, groupsize=groups[t % 3])
             w = seeded_random_matrix(dim, cols, 2_000 + t)
-            h = hessian_from_samples(
-                [synthetic_activations(64, dim, 3_000 + t)], dim, 0.01
-            )
+            h = hessian_from_samples([synthetic_activations(64, dim, 3_000 + t)], 0.01)
             lg = proxy_loss(w, gptq_quantize(w, cfg, factor=inverse_hessian_factor(h)), h)
             lr = proxy_loss(w, rtn_quantize(w, cfg), h)
             wins += lg <= lr + 1e-6 * abs(lr)

@@ -25,38 +25,38 @@ def damped(raw, damp_ratio=0.01):
 
 class TestAccumulate:
     def test_single_row_fixture(self):
-        h = hessian_from_samples([np.array([[1.0, 0.0]], dtype=np.float32)], 2, 0.01)
+        h = hessian_from_samples([np.array([[1.0, 0.0]], dtype=np.float32)], 0.01)
         assert h.dtype == np.float32
         assert np.allclose(h, [[2.01, 0.0], [0.0, 0.01]])
 
     def test_additivity(self):
         a = seeded_random_matrix(5, 4, 0)
         b = seeded_random_matrix(7, 4, 1)
-        split = hessian_from_samples([a, b], 4, 0.01)
-        joined = hessian_from_samples([np.vstack([a, b])], 4, 0.01)
+        split = hessian_from_samples([a, b], 0.01)
+        joined = hessian_from_samples([np.vstack([a, b])], 0.01)
         assert np.allclose(split, joined, rtol=1e-5)
 
     def test_dense_product_oracle(self):
         x = seeded_random_matrix(64, 8, 2)
-        h = hessian_from_samples([x], 8, 0.01)
+        h = hessian_from_samples([x], 0.01)
         x64 = x.astype(np.float64)
         assert np.allclose(h, damped(2.0 * x64.T @ x64), rtol=1e-5)
 
     def test_order_independence(self):
         samples = [seeded_random_matrix(6, 5, s) for s in range(8)]
-        fwd = hessian_from_samples(samples, 5, 0.01)
-        rev = hessian_from_samples(samples[::-1], 5, 0.01)
+        fwd = hessian_from_samples(samples, 0.01)
+        rev = hessian_from_samples(samples[::-1], 0.01)
         assert np.allclose(fwd, rev, rtol=1e-5)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(InvariantError):
-            hessian_from_samples([seeded_random_matrix(2, 4, 0)], 3, 0.01)
-        with pytest.raises(InvariantError):
-            hessian_from_samples([seeded_random_matrix(2, 4, 0)], 0, 0.01)
+        # the width comes from the samples, so two widths in one call conflict
+        with pytest.raises(InvariantError, match=r"widths \[3, 4\]"):
+            hessian_from_samples(
+                [seeded_random_matrix(2, 4, 0), seeded_random_matrix(2, 3, 1)], 0.01)
 
     def test_symmetry_and_psd_probes(self):
         x = seeded_random_matrix(30, 6, 3)
-        h = hessian_from_samples([x], 6, 0.01)
+        h = hessian_from_samples([x], 0.01)
         assert np.abs(h - h.T).max() <= 1e-6
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -67,23 +67,24 @@ class TestAccumulate:
 class TestFinalize:
     def test_diagonal_fixture(self):
         # 2 * I^T I = 2I, damped by 0.01 * mean(diag) = 0.02
-        out = hessian_from_samples([np.eye(3, dtype=np.float32)], 3, 0.01)
+        out = hessian_from_samples([np.eye(3, dtype=np.float32)], 0.01)
         assert np.allclose(out, 2.02 * np.eye(3), rtol=1e-6)
 
     def test_rank1_becomes_factorizable(self):
-        out = hessian_from_samples([seeded_random_matrix(1, 4, 5)], 4, 0.01)
+        out = hessian_from_samples([seeded_random_matrix(1, 4, 5)], 0.01)
         inverse_hessian_factor(out)  # must not raise
 
     @pytest.mark.parametrize("damp_ratio", [0.0, -0.1, float("nan"), float("inf")])
     def test_bad_damp_ratio_rejected(self, damp_ratio):
         with pytest.raises(InvariantError, match="damp_ratio"):
-            hessian_from_samples([seeded_random_matrix(1, 4, 5)], 4, damp_ratio)
+            hessian_from_samples([seeded_random_matrix(1, 4, 5)], damp_ratio)
 
     def test_zero_hessian_rejected(self):
         with pytest.raises(NumericError, match="all-zero Hessian"):
-            hessian_from_samples([np.zeros((2, 3), dtype=np.float32)], 3, 0.01)
-        with pytest.raises(NumericError, match="all-zero Hessian"):
-            hessian_from_samples([], 3, 0.01)
+            hessian_from_samples([np.zeros((2, 3), dtype=np.float32)], 0.01)
+        # no samples leave no width to size the Hessian by
+        with pytest.raises(InvariantError, match="one width"):
+            hessian_from_samples([], 0.01)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("x,damp_ratio", [
@@ -92,14 +93,14 @@ class TestFinalize:
     ], ids=["damping", "samples"])
     def test_hessian_beyond_float32_rejected(self, x, damp_ratio):
         with pytest.raises(NumericError, match="not finite in f32"):
-            hessian_from_samples([x], 4, damp_ratio)
+            hessian_from_samples([x], damp_ratio)
 
     def test_subtracting_damping_recovers_raw(self):
         x = seeded_random_matrix(20, 5, 6)
         acc = 2.0 * (x.T @ x)  # the f32 sum of one sample
         raw = (acc + acc.T) / 2.0
         lam = 0.01 * float(np.mean(np.diag(raw)))
-        out = hessian_from_samples([x], 5, 0.01)
+        out = hessian_from_samples([x], 0.01)
         delta = out - raw
         # damping touches the diagonal only; off-diagonals stay bit-exact,
         # while (d + lam) - d on the diagonal carries f32 rounding at the

@@ -240,7 +240,7 @@ def test_packed_layer_dequantizes_to_the_quantized_bytes(bits, groupsize, symmet
     if method == "rtn":
         q = rtn_quantize(w, cfg)
     else:
-        h = hessian_from_samples([synthetic_activations(128, 64, bits)], 64, 0.01)
+        h = hessian_from_samples([synthetic_activations(128, 64, bits)], 0.01)
         q = gptq_quantize(w, cfg, factor=inverse_hessian_factor(h))
     layer = pack_linear(q)
     assert (layer.scales > 0).all()

@@ -468,6 +468,23 @@ def test_save_checkpoint_cannot_write_what_load_checkpoint_rejects(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("bits,groupsize,match", [
+    (3, 16, "bits must be one of"), (4, 0, "groupsize 0"), (4, -7, "groupsize -7"),
+])
+def test_checkpoint_report_needs_a_quant_config(tmp_path, bits, groupsize, match):
+    """A report with no layers still names bits and a groupsize that
+    `QuantConfig` must accept, at construction and again at save, so no file
+    that load_checkpoint rejects is written."""
+    with pytest.raises(InvariantError, match=match):
+        QuantizedCheckpoint({}, {"bits": bits, "groupsize": groupsize, "layers": []})
+    ckpt = QuantizedCheckpoint({}, {"bits": 4, "groupsize": 16, "layers": []})
+    ckpt.report.update(bits=bits, groupsize=groupsize)
+    path = tmp_path / "ck.bin"
+    with pytest.raises(InvariantError, match=match):
+        save_checkpoint(ckpt, path)
+    assert not path.exists()
+
+
 def _layer(key, value=None):
     return lambda t, a: _attr(key, value)(t, a["crossmodal_layers"][0])
 

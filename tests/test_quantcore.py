@@ -34,7 +34,7 @@ from oracles import round_to_grid
 
 
 def spd_hessian(dim, seed, rows=64):
-    return hessian_from_samples([synthetic_activations(rows, dim, seed)], dim, 0.01)
+    return hessian_from_samples([synthetic_activations(rows, dim, seed)], 0.01)
 
 
 def row_loop_gptq(W, H, cfg):
@@ -421,12 +421,11 @@ def assert_pipeline_matches_row_loop(vision, crossmodal, dim, seed, rows, sample
     hessians = {}
     xs = calib_v.samples
     for i, name in enumerate(model.vision_layers):
-        hessians[("vision", i)] = hessian_from_samples(xs, dim, cfg.damp_ratio)
+        hessians[("vision", i)] = hessian_from_samples(xs, cfg.damp_ratio)
         xs = [x @ model.weights[name] for x in xs]
     xs = calib_m.samples
     for i, layer in enumerate(model.crossmodal_layers):
-        hessians[("crossmodal", i)] = hessian_from_samples(
-            xs, dim, cfg.damp_ratio)
+        hessians[("crossmodal", i)] = hessian_from_samples(xs, cfg.damp_ratio)
         xs = [model.forward_crossmodal_layer(layer, x) for x in xs]
 
     assert len(ckpt.report["layers"]) == vision + 8 * crossmodal
