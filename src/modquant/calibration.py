@@ -9,13 +9,13 @@ opaque payloads and never enter the Hessian.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvariantError, NumericError
 from .model import SyntheticModel
+from .quantcore import QuantConfig
 from .tensorio import check_matrix, file_invariants, load_container, typed_attr, write_container
 
 
@@ -36,6 +36,7 @@ class CalibrationSet:
     aux: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
+        typed_attr(vars(self), "module_id", str)
         self.samples = _one_width(self.samples)
 
 
@@ -51,8 +52,7 @@ def hessian_from_samples(samples, damp_ratio: float) -> np.ndarray:
     (`inverse_hessian_factor`) raises NumericError on a damped Hessian it
     cannot factorize.
     """
-    if not math.isfinite(damp_ratio) or damp_ratio <= 0:
-        raise InvariantError(f"damp_ratio must be finite and > 0, got {damp_ratio}")
+    QuantConfig(damp_ratio=damp_ratio)
     samples = _one_width(samples)
     dim = samples[0].shape[1]
     h = np.zeros((dim, dim), dtype=np.float32)
@@ -135,16 +135,15 @@ def load_calibration(path) -> CalibrationSet:
     """Read a set written by `save_calibration`.
 
     A container of another schema, a missing or mistyped `num_samples` (an
-    integer) or `module_id` (a string), a missing `calib/samples/<k>` tensor
-    for any k < num_samples, any other tensor outside `calib/aux/*`, and
-    samples that break an invariant of `CalibrationSet`, is a FormatError.
+    integer), a missing `calib/samples/<k>` tensor for any k < num_samples,
+    any other tensor outside `calib/aux/*`, and a `module_id` or samples that
+    `CalibrationSet` rejects, is a FormatError.
     """
     tensors, attrs = load_container(path)
     with file_invariants(path):
         if attrs.get("schema") != "calibration/1":
             raise InvariantError("not a calibration container")
         n = typed_attr(attrs, "num_samples", int)
-        module_id = typed_attr(attrs, "module_id", str)
         samples = []
         for k in range(n):
             sample = tensors.pop(f"calib/samples/{k}", None)
@@ -157,4 +156,4 @@ def load_calibration(path) -> CalibrationSet:
                 f"tensors {stray} are neither samples below num_samples nor calib/aux/*"
             )
         aux = {name.removeprefix("calib/aux/"): t for name, t in tensors.items()}
-        return CalibrationSet(module_id, samples, aux)
+        return CalibrationSet(attrs.get("module_id"), samples, aux)

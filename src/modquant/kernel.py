@@ -34,7 +34,7 @@ import numpy as np
 from .errors import InvariantError
 from .packfmt import PackedLinear, unpack_weights
 from .quantcore import dequantize_codes, lanes_per_word
-from .tensorio import check_matrix, seeded_random_matrix
+from .tensorio import check_matrix, seeded_random_matrix, typed_attr
 
 _TILE_RANGE = (8, 256)
 
@@ -52,9 +52,8 @@ class TileConfig:
 
     def __post_init__(self):
         lo, hi = _TILE_RANGE
-        for name, v in self.as_dict().items():
-            if type(v) is not int:
-                raise InvariantError(f"{name} must be an integer, got {v!r}")
+        for name in self.as_dict():
+            v = typed_attr(vars(self), name, int)
             if name != "workers" and not (lo <= v <= hi and v & (v - 1) == 0):
                 raise InvariantError(f"{name} = {v} must be a power of two in {_TILE_RANGE}")
         if not 1 <= self.workers <= hi:

@@ -41,7 +41,7 @@ class ComponentGroup:
     def __post_init__(self):
         if self.group_kind not in GROUP_ORDER:
             raise InvariantError(f"unknown group kind {self.group_kind!r}")
-        if not self.members:
+        if not list_attr(vars(self), "members", str):
             raise InvariantError(f"group {self.group_kind!r} has no members")
 
 
@@ -74,6 +74,13 @@ class SyntheticModel:
         layer reading the previous one's output; D_M fed to the cross-modal
         layers, by the last vision layer or as D_V; every cross-modal member
         reading D_M, each group's first writing D_M."""
+        fields = vars(self)
+        list_attr(fields, "vision_layers", str)
+        if len(list_attr(fields, "embed_dims", int, (list, tuple))) != 2:
+            raise InvariantError(f"embed_dims must hold two dims, got {self.embed_dims}")
+        if typed_attr(fields, "misc_params", int) < 0:
+            raise InvariantError(f"misc_params must be >= 0, got {self.misc_params}")
+        d_v, d_m = self.embed_dims = tuple(self.embed_dims)
         names = self.matrix_names()
         if len(set(names)) != len(names):
             raise InvariantError("weight matrix names must be unique")
@@ -88,11 +95,6 @@ class SyntheticModel:
                 self.weights[name] = check_matrix(w)
             except InvariantError as exc:
                 raise InvariantError(f"weight {name!r}: {exc}") from None
-        if len(self.embed_dims) != 2:
-            raise InvariantError(f"embed_dims must hold two dims, got {self.embed_dims}")
-        if self.misc_params < 0:
-            raise InvariantError(f"misc_params must be >= 0, got {self.misc_params}")
-        d_v, d_m = self.embed_dims
 
         def expect(name, axis, want, what):
             got = self.weights[name].shape[axis]
@@ -232,28 +234,24 @@ def save_model(model: SyntheticModel, path) -> None:
 def load_model(path) -> SyntheticModel:
     """Read a model written by `save_model`.
 
-    A container of another schema, a missing or mistyped attribute
-    (`vision_layers`, `crossmodal_layers` with each entry's `index` and
-    `groups` and each group's `kind` and `members`, `embed_dims` as a list
-    of integers, `misc_params` when present), an entry whose `index` is not
-    its position, and contents that break an invariant of `SyntheticModel`
-    or its layers, is a FormatError.
+    A container of another schema, a `crossmodal_layers` that is not a list
+    of maps each with an int `index` (its position) and a `groups` list of
+    maps, and fields (`vision_layers`, each group's `kind` and `members`,
+    `embed_dims`, `misc_params` when present) or weights that
+    `SyntheticModel` or its layers reject, is a FormatError.
     """
     tensors, attrs = load_container(path)
     with file_invariants(path):
         if attrs.get("schema") != "synthetic-model/1":
             raise InvariantError("not a synthetic-model container")
-        vision_layers = list_attr(attrs, "vision_layers", str)
         layers = []
         for position, entry in enumerate(list_attr(attrs, "crossmodal_layers", dict)):
             with file_invariants(f"{path}: cross-modal layer {entry.get('index')!r}"):
-                groups = [(typed_attr(g, "kind", str), list_attr(g, "members", str))
-                          for g in list_attr(entry, "groups", dict)]
+                layer = CrossModalLayer([ComponentGroup(g.get("kind"), g.get("members"))
+                                         for g in list_attr(entry, "groups", dict)])
                 index = typed_attr(entry, "index", int)
-                layer = CrossModalLayer([ComponentGroup(*g) for g in groups])
             if index != position:
                 raise InvariantError(f"cross-modal layer {position} has index {index}")
             layers.append(layer)
-        embed_dims = list_attr(attrs, "embed_dims", int)
-        misc_params = typed_attr(attrs, "misc_params", int) if "misc_params" in attrs else 0
-        return SyntheticModel(vision_layers, layers, tensors, tuple(embed_dims), misc_params)
+        return SyntheticModel(attrs.get("vision_layers"), layers, tensors,
+                              attrs.get("embed_dims"), attrs.get("misc_params", 0))

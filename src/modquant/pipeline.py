@@ -41,11 +41,10 @@ def _report_layout(holder) -> tuple[int, int, list[tuple[str, int, int]]]:
     order, of the map `holder["report"]`; a missing or mistyped field, and
     bits and groupsize that `QuantConfig` rejects, is an InvariantError."""
     report = typed_attr(holder, "report", dict)
-    bits, groupsize = typed_attr(report, "bits", int), typed_attr(report, "groupsize", int)
-    QuantConfig(bits, groupsize)
-    return bits, groupsize, [(typed_attr(e, "name", str), typed_attr(e, "in_features", int),
-                              typed_attr(e, "out_features", int))
-                             for e in list_attr(report, "layers", dict)]
+    cfg = QuantConfig(report.get("bits"), report.get("groupsize"))
+    return cfg.bits, cfg.groupsize, [
+        (typed_attr(e, "name", str), typed_attr(e, "in_features", int),
+         typed_attr(e, "out_features", int)) for e in list_attr(report, "layers", dict)]
 
 
 @dataclass

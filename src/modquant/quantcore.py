@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError, NumericError
-from .tensorio import check_matrix
+from .tensorio import check_matrix, typed_attr
 
 # The range of a group scale: float16's smallest subnormal and its largest value.
 SCALE_FLOOR = 2.0**-24
@@ -45,12 +45,13 @@ class QuantConfig:
     damp_ratio: float = 0.01
 
     def __post_init__(self):
-        lanes_per_word(self.bits)
-        rows_per_group(1, self.groupsize)
-        if not math.isfinite(self.damp_ratio) or self.damp_ratio <= 0:
-            raise InvariantError(
-                f"damp_ratio must be finite and > 0, got {self.damp_ratio}"
-            )
+        fields = vars(self)
+        lanes_per_word(typed_attr(fields, "bits", int))
+        rows_per_group(1, typed_attr(fields, "groupsize", int))
+        typed_attr(fields, "symmetric", bool)
+        damp = typed_attr(fields, "damp_ratio", (float, int))
+        if not math.isfinite(damp) or damp <= 0:
+            raise InvariantError(f"damp_ratio must be finite and > 0, got {damp}")
 
     @property
     def maxq(self) -> int:

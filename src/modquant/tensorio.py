@@ -205,19 +205,22 @@ def file_invariants(path):
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def typed_attr(meta, key: str, kind: type):
+def typed_attr(meta, key: str, kind: type | tuple[type, ...]):
     """`meta[key]` when `meta` is a map and the value's type is exactly
-    `kind` (so a bool is not an int); otherwise an InvariantError."""
+    `kind`, or one that a tuple `kind` lists (so a bool is not an int);
+    otherwise an InvariantError."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
     value = meta.get(key) if isinstance(meta, dict) else None
-    if type(value) is not kind:
-        raise InvariantError(f"attribute {key!r} must be a {kind.__name__}, got {value!r}")
+    if type(value) not in kinds:
+        raise InvariantError(f"attribute {key!r} must be a "
+                             f"{' or '.join(k.__name__ for k in kinds)}, got {value!r}")
     return value
 
 
-def list_attr(meta, key: str, item_kind: type) -> list:
-    """`typed_attr(meta, key, list)` whose items are all of type exactly
+def list_attr(meta, key: str, item_kind: type, kind=list):
+    """`typed_attr(meta, key, kind)` whose items are all of type exactly
     `item_kind`; otherwise an InvariantError."""
-    items = typed_attr(meta, key, list)
+    items = typed_attr(meta, key, kind)
     if any(type(v) is not item_kind for v in items):
         raise InvariantError(f"attribute {key!r} must list {item_kind.__name__} values, "
                              f"got {items!r}")
