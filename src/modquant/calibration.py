@@ -16,7 +16,15 @@ import numpy as np
 from .errors import InvariantError, NumericError
 from .model import SyntheticModel
 from .quantcore import QuantConfig
-from .tensorio import check_matrix, file_invariants, load_container, typed_attr, write_container
+from .tensorio import (
+    _seeded_rng,
+    check_matrix,
+    check_tensor,
+    file_invariants,
+    load_container,
+    typed_attr,
+    write_container,
+)
 
 
 def _one_width(samples) -> list[np.ndarray]:
@@ -31,19 +39,27 @@ def _one_width(samples) -> list[np.ndarray]:
 
 @dataclass
 class CalibrationSet:
+    """A str `module_id`, `samples` that `check_matrix` accepts, all of one
+    width, and `aux`, a map of tensors the container can store
+    (`check_tensor`); building one checks all three."""
+
     module_id: str
     samples: list[np.ndarray]
     aux: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        typed_attr(vars(self), "module_id", str)
+        fields = vars(self)
+        typed_attr(fields, "module_id", str)
         self.samples = _one_width(self.samples)
+        self.aux = {name: check_tensor(f"calib/aux/{name}", t)
+                    for name, t in typed_attr(fields, "aux", dict).items()}
 
 
 def hessian_from_samples(samples, damp_ratio: float) -> np.ndarray:
     """Damped Hessian H + lambda*I, with H = 2 * X^T X summed over `samples`
     and lambda = damp_ratio * mean(diag(H)). H is d x d for the width d that
-    every sample shares; no samples, or two widths, is an InvariantError.
+    every sample shares; no samples, or two widths, and a damp_ratio that
+    `QuantConfig` rejects, is an InvariantError.
 
     The sum runs in f32 in sample order and is symmetrized before damping.
     A lambda of 0, or a Hessian or damped diagonal that f32 cannot hold,
@@ -83,7 +99,7 @@ def synthetic_activations(rows: int, dim: int, seed: int) -> np.ndarray:
     """
     if rows < 1 or dim < 1:
         raise InvariantError(f"dimensions must be >= 1, got ({rows}, {dim})")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     gains = np.geomspace(1.0, 0.05, dim) if dim > 1 else np.ones(1)
     mix = rng.standard_normal((dim, dim)) * gains[None, :]
     z = rng.standard_normal((rows, dim))

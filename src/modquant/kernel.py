@@ -42,8 +42,9 @@ _TILE_RANGE = (8, 256)
 @dataclass(frozen=True)
 class TileConfig:
     """B_M x B_D output tiles, B_K reduction slabs, and worker threads.
-    Building one checks every field: an int (a bool is not), each block a
-    power of two in _TILE_RANGE, workers in [1, 256] (_TILE_RANGE's top)."""
+    Building one checks every field: an int by `typed_attr` (a bool is
+    not), each block a power of two in _TILE_RANGE, workers in [1, 256]
+    (_TILE_RANGE's top)."""
 
     block_m: int
     block_d: int

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import InvariantError
 from .tensorio import (
+    _seeded_rng,
     check_matrix,
     file_invariants,
     list_attr,
@@ -35,6 +36,9 @@ _GROUP_MEMBERS = {
 
 @dataclass
 class ComponentGroup:
+    """A `group_kind` of GROUP_ORDER and its `members`, a non-empty list of
+    str weight names; building one checks both."""
+
     group_kind: str
     members: list[str]
 
@@ -67,19 +71,19 @@ class SyntheticModel:
     misc_params: int = 0
 
     def __post_init__(self):
-        """InvariantError unless names are unique, every name has a weight and
-        every weight a name, weights are finite 2-D f32 matrices, `embed_dims`
-        holds two dims, `misc_params` >= 0, and the shapes chain as the forward
-        passes and `hessian_blocks` use them: the vision stack from D_V, each
-        layer reading the previous one's output; D_M fed to the cross-modal
-        layers, by the last vision layer or as D_V; every cross-modal member
-        reading D_M, each group's first writing D_M."""
+        """InvariantError unless `vision_layers` is a list of str, `embed_dims`
+        a list or tuple of two ints (kept as a tuple), `misc_params` an int >= 0
+        (types by `typed_attr`), names are unique, every name has a weight and
+        every weight a name, weights are finite 2-D f32 matrices, and the
+        shapes chain as the forward passes and `hessian_blocks` use them: the
+        vision stack from D_V, each layer reading the previous one's output;
+        D_M fed to the cross-modal layers, by the last vision layer or as D_V;
+        every cross-modal member reading D_M, each group's first writing D_M."""
         fields = vars(self)
         list_attr(fields, "vision_layers", str)
         if len(list_attr(fields, "embed_dims", int, (list, tuple))) != 2:
             raise InvariantError(f"embed_dims must hold two dims, got {self.embed_dims}")
-        if typed_attr(fields, "misc_params", int) < 0:
-            raise InvariantError(f"misc_params must be >= 0, got {self.misc_params}")
+        check_misc_params(fields)
         d_v, d_m = self.embed_dims = tuple(self.embed_dims)
         names = self.matrix_names()
         if len(set(names)) != len(names):
@@ -163,6 +167,15 @@ class SyntheticModel:
         return x
 
 
+def check_misc_params(fields) -> int:
+    """`fields["misc_params"]`, a count of unquantized parameters, when it is
+    an int >= 0; otherwise an InvariantError."""
+    n = typed_attr(fields, "misc_params", int)
+    if n < 0:
+        raise InvariantError(f"misc_params must be >= 0, got {n}")
+    return n
+
+
 def vision_seq_len(image_size: int, patch_size: int) -> int:
     """Sequence length of vision samples: (image_size/patch_size)^2 + 1."""
     if image_size < 1 or patch_size < 1 or image_size % patch_size != 0:
@@ -185,7 +198,7 @@ def generate_model(
     """
     if dim < 1 or vision_layers < 0 or crossmodal_layers < 0:
         raise InvariantError("bad model geometry")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     scale = 1.0 / np.sqrt(dim)
     weights: dict[str, np.ndarray] = {}
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .calibration import CalibrationSet, hessian_from_samples
 from .errors import InvariantError
-from .model import SyntheticModel
+from .model import SyntheticModel, check_misc_params
 from .packfmt import (
     PackedLinear,
     estimate_packed_size,
@@ -155,16 +155,18 @@ def size_report(
 ) -> dict:
     """Analytic storage of (name, in_features, out_features) matrices packed
     at (bits, groupsize), plus `misc_params` unquantized f16 parameters, with
-    the ratio against an all-f16 model."""
+    the ratio against an all-f16 model. No matrices, a name listed twice, and
+    a `misc_params` that `SyntheticModel` rejects, is an InvariantError."""
     if not shapes:
         raise InvariantError("model has no weight matrices")
-    per_layer = {
-        name: estimate_packed_size(n_in, n_out, bits, groupsize)
-        for name, n_in, n_out in shapes
-    }
+    per_layer = {}
+    for name, n_in, n_out in shapes:
+        if name in per_layer:
+            raise InvariantError(f"matrix {name!r} is listed twice")
+        per_layer[name] = estimate_packed_size(n_in, n_out, bits, groupsize)
     quant_total = sum(b["total"] for b in per_layer.values())
     weight_f16 = sum(n_in * n_out * 2 for _, n_in, n_out in shapes)
-    misc_bytes = misc_params * 2
+    misc_bytes = check_misc_params({"misc_params": misc_params}) * 2
     total = quant_total + misc_bytes
     baseline = weight_f16 + misc_bytes
     return {

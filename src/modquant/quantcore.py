@@ -39,6 +39,10 @@ def lanes_per_word(bits: int) -> int:
 
 @dataclass(frozen=True)
 class QuantConfig:
+    """Building one checks every field by `typed_attr`: `bits` an int in
+    SUPPORTED_BITS, `groupsize` an int, -1 or >= 1, `symmetric` a bool, and
+    `damp_ratio` a float or int (not a bool), finite and > 0."""
+
     bits: int = 4
     groupsize: int = -1
     symmetric: bool = False

@@ -63,15 +63,27 @@ def check_matrix(m) -> np.ndarray:
     return m
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """numpy's default generator for `seed`, from which every seeded function
+    of the package draws; a seed numpy refuses (a negative one, say) is an
+    InvariantError."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise InvariantError(f"seed must be an integer >= 0, got {seed!r}") from exc
+
+
 def seeded_random_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
     """Standard-normal f32 matrix; a pure function of (rows, cols, seed)."""
     if rows < 1 or cols < 1:
         raise InvariantError(f"dimensions must be >= 1, got ({rows}, {cols})")
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((rows, cols), dtype=np.float32)
+    return _seeded_rng(seed).standard_normal((rows, cols), dtype=np.float32)
 
 
-def _check_tensor(name: str, t: np.ndarray) -> np.ndarray:
+def check_tensor(name: str, t: np.ndarray) -> np.ndarray:
+    """`t` as the contiguous little-endian array that the container stores
+    under `name`; a dtype outside DTYPES, or a rank other than 1 or 2, is an
+    InvariantError."""
     t = np.ascontiguousarray(t)
     dt = t.dtype.newbyteorder("<")
     if dt not in _DTYPE_NAMES:
@@ -91,7 +103,7 @@ def write_container(
     chunks = []
     offset = 0
     for name, tensor in tensors.items():
-        t = _check_tensor(name, tensor)
+        t = check_tensor(name, tensor)
         raw = t.tobytes()
         entries[name] = {
             "dtype": _DTYPE_NAMES[t.dtype.newbyteorder("<")],
@@ -207,8 +219,11 @@ def file_invariants(path):
 
 def typed_attr(meta, key: str, kind: type | tuple[type, ...]):
     """`meta[key]` when `meta` is a map and the value's type is exactly
-    `kind`, or one that a tuple `kind` lists (so a bool is not an int);
-    otherwise an InvariantError."""
+    `kind`, or one that a tuple `kind` lists (so a bool is not an int, nor
+    is an np.int64); otherwise an InvariantError.
+
+    The package's one rule for field types: loaders apply it to the JSON
+    they walk, and each record to its own fields (`vars(self)`) when built."""
     kinds = kind if isinstance(kind, tuple) else (kind,)
     value = meta.get(key) if isinstance(meta, dict) else None
     if type(value) not in kinds:

@@ -171,6 +171,14 @@ def test_calibration_set_invariants():
         )
 
 
+@pytest.mark.parametrize("aux", [np.zeros((2, 2, 2), np.float32), np.zeros(4, np.int64)],
+                         ids=["3-D", "int64"])
+def test_aux_the_container_cannot_store_rejected(aux):
+    """Checked when the set is built, by the rule `save_calibration` applies."""
+    with pytest.raises(InvariantError, match="calib/aux/mask"):
+        CalibrationSet("vision", [seeded_random_matrix(2, 3, 0)], {"mask": aux})
+
+
 def test_calibration_container_roundtrip(tmp_path):
     calib = CalibrationSet(
         "crossmodal",

@@ -13,6 +13,7 @@ from modquant import (
     InvariantError,
     NumericError,
     QuantConfig,
+    SyntheticModel,
     TileConfig,
     circular_eval_accuracy,
     dequantize_packed,
@@ -339,6 +340,17 @@ class TestSizeReport:
         with pytest.raises(InvariantError, match="no weight matrices"):
             size_report([], 4, 128)
 
+    def test_name_listed_twice_rejected(self):
+        """per_layer would hold one entry where baseline_f16 counts two."""
+        with pytest.raises(InvariantError, match="'a' is listed twice"):
+            size_report([("a", 8, 8), ("b", 8, 8), ("a", 8, 8)], 4, -1)
+
+    @pytest.mark.parametrize("misc_params", [-5, 2.5, "3", np.int64(3)],
+                             ids=["-5", "2.5", "str", "int64"])
+    def test_misc_params_that_a_model_rejects_rejected(self, misc_params):
+        with pytest.raises(InvariantError, match="misc_params"):
+            size_report([("a", 8, 8)], 4, -1, misc_params)
+
     def test_n8_ratio(self):
         m = generate_model(1, 0, 4096, seed=3)
         report = size_report(model_shapes(m), 8, 128)
@@ -661,3 +673,79 @@ def test_quantize_save_load_and_matmul_agree(tmp_path_factory, layers, dim, bits
         one, two = (quant_matmul(a, got, TileConfig(8, 8, 16, workers=w)) for w in (1, 2))
         assert one.tobytes() == two.tobytes()
         assert np.linalg.norm(one - ref) <= 1e-5 * max(np.linalg.norm(ref), 1e-30)
+
+
+def _scalars(*values):
+    """One of `values`, or one of them as an np.int64 or a float, or a bool, a
+    str or None: the kinds a record's field may be handed."""
+    given_ = st.sampled_from(values)
+    return st.one_of(given_, given_.map(np.int64), given_.map(float),
+                     st.sampled_from([True, False, "4", None]))
+
+
+# Each field that a record checks when built: its record, and the values drawn.
+RECORD_FIELDS = {
+    "embed_dims": ("model", st.tuples(_scalars(16, 8), _scalars(16))),
+    "misc_params": ("model", _scalars(0, 333, -1)),
+    "module_id": ("calib", st.one_of(st.just("vision"), _scalars(0))),
+    "bits": ("config", _scalars(4, 2, 8, 3)),
+    "groupsize": ("config", _scalars(-1, 8, 0)),
+    "symmetric": ("config", _scalars(True, False)),
+    "damp_ratio": ("config", _scalars(0.01, 1, 0)),
+}
+
+
+def _typed(value):
+    """`value` with the exact type of it and of each item it holds."""
+    if isinstance(value, tuple):
+        return tuple(map(_typed, value))
+    return type(value), value
+
+
+@pytest.fixture(scope="module")
+def small_model():
+    """A 1+1, dim-16 model and its vision and cross-modal calibration sets."""
+    return (generate_model(1, 1, 16, seed=5),
+            CalibrationSet("vision", [synthetic_activations(32, 16, 1)]),
+            CalibrationSet("crossmodal", [synthetic_activations(32, 16, 2)]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(sorted(RECORD_FIELDS)).flatmap(
+    lambda field: st.tuples(st.just(field), RECORD_FIELDS[field][1])))
+@example(case=("embed_dims", (16, 16)))
+@example(case=("misc_params", 333))
+@example(case=("module_id", "crossmodal"))
+@example(case=("bits", 8))
+@example(case=("groupsize", 8))
+@example(case=("symmetric", True))
+@example(case=("damp_ratio", 1))
+def test_records_reject_what_their_loaders_reject(small_model, tmp_path_factory, case):
+    """A record built with one field set to a drawn value and the others
+    valid: either building it is an InvariantError, or saving it and loading
+    the file back gives the value with its exact type."""
+    field, value = case
+    record = RECORD_FIELDS[field][0]
+    model, calib_v, calib_m = small_model
+    path = tmp_path_factory.mktemp("record") / "r.bin"
+    try:
+        if record == "model":
+            fields = {"embed_dims": (16, 16), "misc_params": 0, field: value}
+            built = SyntheticModel(model.vision_layers, model.crossmodal_layers,
+                                   dict(model.weights), **fields)
+        elif record == "calib":
+            built = CalibrationSet(value, calib_v.samples)
+        else:
+            built = QuantConfig(**{field: value})
+    except InvariantError:
+        return
+    if record == "model":
+        save_model(built, path)
+        back = getattr(load_model(path), field)
+    elif record == "calib":
+        save_calibration(built, path)
+        back = load_calibration(path).module_id
+    else:
+        save_checkpoint(quantize_model(model, calib_v, calib_m, built), path)
+        back = load_checkpoint(path).report[field]
+    assert _typed(back) == _typed(value)

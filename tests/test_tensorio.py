@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from modquant import (
     FormatError,
     InvariantError,
+    generate_model,
     load_container,
     seeded_random_matrix,
+    synthetic_activations,
     write_container,
 )
 from modquant.tensorio import PAYLOAD_ALIGN, check_matrix
@@ -288,6 +290,15 @@ class TestSeededRandomMatrix:
     def test_zero_dimension_rejected(self):
         with pytest.raises(InvariantError):
             seeded_random_matrix(0, 4, 1)
+
+    @pytest.mark.parametrize("make", [
+        lambda seed: seeded_random_matrix(2, 2, seed),
+        lambda seed: synthetic_activations(2, 2, seed),
+        lambda seed: generate_model(1, 1, 8, seed),
+    ], ids=["seeded_random_matrix", "synthetic_activations", "generate_model"])
+    def test_negative_seed_rejected(self, make):
+        with pytest.raises(InvariantError, match="seed must be an integer >= 0, got -1"):
+            make(-1)
 
     def test_statistics(self):
         m = seeded_random_matrix(1000, 1000, 42)
