@@ -678,8 +678,8 @@ def test_quantize_save_load_and_matmul_agree(tmp_path_factory, layers, dim, bits
 def _scalars(*values):
     """One of `values`, or one of them as an np.int64 or a float, or a bool, a
     str or None: the kinds a record's field may be handed."""
-    given_ = st.sampled_from(values)
-    return st.one_of(given_, given_.map(np.int64), given_.map(float),
+    chosen = st.sampled_from(values)
+    return st.one_of(chosen, chosen.map(np.int64), chosen.map(float),
                      st.sampled_from([True, False, "4", None]))
 
 
