@@ -232,7 +232,7 @@ def typed_attr(meta, key: str, kind: type | tuple[type, ...]):
     return value
 
 
-def list_attr(meta, key: str, item_kind: type, kind=list):
+def list_attr(meta, key: str, item_kind: type, kind: type | tuple[type, ...] = list):
     """`typed_attr(meta, key, kind)` whose items are all of type exactly
     `item_kind`; otherwise an InvariantError."""
     items = typed_attr(meta, key, kind)
