@@ -26,6 +26,8 @@ from .tensorio import (
     write_container,
 )
 
+CALIBRATION_SCHEMA = "calibration/1"
+
 
 def _one_width(samples) -> list[np.ndarray]:
     """`samples` as matrices that `check_matrix` accepts, all of one width;
@@ -40,8 +42,8 @@ def _one_width(samples) -> list[np.ndarray]:
 @dataclass
 class CalibrationSet:
     """A str `module_id`, `samples` that `check_matrix` accepts, all of one
-    width, and `aux`, a map of tensors the container can store
-    (`check_tensor`); building one checks all three."""
+    width, and `aux`, a map from str names to tensors the container can
+    store (`check_tensor`); building one checks all three."""
 
     module_id: str
     samples: list[np.ndarray]
@@ -51,8 +53,10 @@ class CalibrationSet:
         fields = vars(self)
         typed_attr(fields, "module_id", str)
         self.samples = _one_width(self.samples)
-        self.aux = {name: check_tensor(f"calib/aux/{name}", t)
-                    for name, t in typed_attr(fields, "aux", dict).items()}
+        aux = typed_attr(fields, "aux", dict)
+        if any(type(name) is not str for name in aux):
+            raise InvariantError(f"aux names must be str, got {list(aux)!r}")
+        self.aux = {name: check_tensor(f"calib/aux/{name}", t) for name, t in aux.items()}
 
 
 def hessian_from_samples(samples, damp_ratio: float) -> np.ndarray:
@@ -142,7 +146,7 @@ def save_calibration(calib: CalibrationSet, path) -> None:
     write_container(
         path,
         tensors,
-        {"schema": "calibration/1", "module_id": calib.module_id,
+        {"schema": CALIBRATION_SCHEMA, "module_id": calib.module_id,
          "num_samples": len(calib.samples)},
     )
 
@@ -157,7 +161,7 @@ def load_calibration(path) -> CalibrationSet:
     """
     tensors, attrs = load_container(path)
     with file_invariants(path):
-        if attrs.get("schema") != "calibration/1":
+        if attrs.get("schema") != CALIBRATION_SCHEMA:
             raise InvariantError("not a calibration container")
         n = typed_attr(attrs, "num_samples", int)
         samples = []

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .pipeline import (
     size_report,
 )
 from .quantcore import QuantConfig, lanes_per_word, rtn_quantize
-from .tensorio import file_invariants, seeded_random_matrix
+from .tensorio import _seeded_rng, file_invariants, parse_json, seeded_random_matrix
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -110,7 +111,7 @@ def _cmd_quantize(args) -> int:
     method = "rtn" if args.rtn else "gptq"
     ckpt = quantize_model(model, calib_v, calib_m, cfg, method=method)
     save_checkpoint(ckpt, args.out)
-    with open(f"{args.out}.report.json", "w") as fh:
+    with open(f"{args.out}.report.json", "w", encoding="utf-8") as fh:
         json.dump(ckpt.report, fh, indent=2, sort_keys=True)
     print(f"quantized {len(ckpt.layers)} layers -> {args.out}")
     return EXIT_OK
@@ -120,7 +121,7 @@ def _cmd_pack_roundtrip(args) -> int:
     f_int = lanes_per_word(args.bits)
     if args.trials < 1:
         raise InvariantError(f"trials must be >= 1, got {args.trials}")
-    rng = np.random.default_rng(args.seed)
+    rng = _seeded_rng(args.seed)
     failures = 0
     for _ in range(args.trials):
         rows = f_int * int(rng.integers(1, 16))
@@ -139,18 +140,9 @@ def _cmd_pack_roundtrip(args) -> int:
     return EXIT_OK
 
 
-def _read_json(path, what):
-    """The JSON value in the file at `path`; unparsable text is a FormatError."""
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise FormatError(f"{path}: cannot parse {what}: {exc}") from exc
-
-
 def _parse_configs(path, bits: int) -> list[TileConfig]:
     """A non-empty JSON array of objects, each a TileConfig that fits `bits`."""
-    raw = _read_json(path, "tile configs")
+    raw = parse_json(path, Path(path).read_bytes(), "tile configs")
     with file_invariants(path):
         if not isinstance(raw, list) or not raw or not all(isinstance(e, dict) for e in raw):
             raise InvariantError("expected a non-empty JSON array of tile config objects")
@@ -192,7 +184,7 @@ def _cmd_size(args) -> int:
 
 
 def _cmd_eval_circular(args) -> int:
-    records = _read_json(args.records, "records")
+    records = parse_json(args.records, Path(args.records).read_bytes(), "records")
     with file_invariants(args.records):
         acc = circular_eval_accuracy(records)
     print(f"{acc:g}")
@@ -209,10 +201,12 @@ def _cmd_gen_model(args) -> int:
 
 
 def _cmd_gen_calib(args) -> int:
-    samples = [
-        seeded_random_matrix(args.seqlen, args.dim, args.seed + i)
-        for i in range(args.samples)
-    ]
+    if args.samples < 1 or args.seqlen < 1:
+        raise InvariantError(f"samples and seqlen must be >= 1, got {args.samples} and "
+                             f"{args.seqlen}")
+    # One draw split by rows: seed s shares no sample with seed s + 1.
+    rows = seeded_random_matrix(args.samples * args.seqlen, args.dim, args.seed)
+    samples = np.split(rows, args.samples)
     save_calibration(CalibrationSet(args.module, samples), args.out)
     print(f"{args.samples} calibration samples -> {args.out}")
     return EXIT_OK
@@ -236,8 +230,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if getattr(args, "seed", 0) < 0:
-            raise InvariantError(f"--seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.command](args)
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)

@@ -108,7 +108,7 @@ class Tracer:
 
     def dump(self, path) -> None:
         """Write the spans as a JSON list of {label, start_ns, end_ns, parent}."""
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump([
                 {"label": s.label, "start_ns": s.start_ns, "end_ns": s.end_ns,
                  "parent": s.parent}

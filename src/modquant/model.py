@@ -23,6 +23,7 @@ from .tensorio import (
     write_container,
 )
 
+MODEL_SCHEMA = "synthetic-model/1"
 GROUP_ORDER = ("attn_qkv", "attn_out", "mlp_gate_up", "mlp_down")
 
 # Member suffixes per group; attn_qkv carries a modality-expert projection.
@@ -226,7 +227,7 @@ def generate_model(
 
 def save_model(model: SyntheticModel, path) -> None:
     attrs = {
-        "schema": "synthetic-model/1",
+        "schema": MODEL_SCHEMA,
         "vision_layers": list(model.vision_layers),
         "crossmodal_layers": [
             {
@@ -255,7 +256,7 @@ def load_model(path) -> SyntheticModel:
     """
     tensors, attrs = load_container(path)
     with file_invariants(path):
-        if attrs.get("schema") != "synthetic-model/1":
+        if attrs.get("schema") != MODEL_SCHEMA:
             raise InvariantError("not a synthetic-model container")
         layers = []
         for position, entry in enumerate(list_attr(attrs, "crossmodal_layers", dict)):

@@ -64,17 +64,18 @@ def check_matrix(m) -> np.ndarray:
 
 
 def _seeded_rng(seed: int) -> np.random.Generator:
-    """numpy's default generator for `seed`, from which every seeded function
-    of the package draws; a seed numpy refuses (a negative one, say) is an
-    InvariantError."""
-    try:
-        return np.random.default_rng(seed)
-    except (TypeError, ValueError) as exc:
-        raise InvariantError(f"seed must be an integer >= 0, got {seed!r}") from exc
+    """numpy's default generator for `seed`, an int or numpy integer >= 0, and
+    the package's only maker of generators; any other seed, None (OS
+    entropy) and a bool included, is an InvariantError."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvariantError(f"seed must be an integer >= 0, got {seed!r}")
+    return np.random.default_rng(seed)
 
 
 def seeded_random_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
-    """Standard-normal f32 matrix; a pure function of (rows, cols, seed)."""
+    """Standard-normal f32 matrix; a pure function of (rows, cols, seed), drawn
+    row by row from `_seeded_rng(seed)`, so its first r rows are
+    `seeded_random_matrix(r, cols, seed)`."""
     if rows < 1 or cols < 1:
         raise InvariantError(f"dimensions must be >= 1, got ({rows}, {cols})")
     return _seeded_rng(seed).standard_normal((rows, cols), dtype=np.float32)
@@ -98,29 +99,34 @@ def check_tensor(name: str, t: np.ndarray) -> np.ndarray:
 def write_container(
     path, tensors: Mapping[str, np.ndarray], attrs: dict | None = None
 ) -> None:
-    """Write a tensor map (plus optional JSON-able attributes) to `path`."""
+    """Write a tensor map (plus optional JSON-able attributes) to `path`.
+    Each tensor goes to the file from the buffer of the array `check_tensor`
+    returns, the tensor itself when it is contiguous little-endian."""
+    checked = {name: check_tensor(name, t) for name, t in tensors.items()}
     entries = {}
-    chunks = []
     offset = 0
-    for name, tensor in tensors.items():
-        t = check_tensor(name, tensor)
-        raw = t.tobytes()
-        entries[name] = {
-            "dtype": _DTYPE_NAMES[t.dtype.newbyteorder("<")],
-            "shape": list(t.shape),
-            "offset": offset,
-            "length": len(raw),
-        }
-        chunks.append(raw)
-        offset += len(raw)
+    for name, t in checked.items():
+        entries[name] = {"dtype": _DTYPE_NAMES[t.dtype], "shape": list(t.shape),
+                         "offset": offset, "length": t.nbytes}
+        offset += t.nbytes
     manifest = json.dumps(
         {"tensors": entries, "attrs": attrs or {}}, sort_keys=True
     ).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, len(manifest)))
         fh.write(manifest)
-        for raw in chunks:
-            fh.write(raw)
+        for t in checked.values():
+            fh.write(t)
+
+
+def parse_json(path, raw, what: str):
+    """The JSON value of `raw`, the UTF-8 bytes of `what` in the file at
+    `path`; bytes that do not decode, text that does not parse, or nesting
+    too deep for the parser is a FormatError naming the file."""
+    try:
+        return json.loads(bytes(raw).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise FormatError(f"{path}: malformed {what}: {exc}") from exc
 
 
 def _read_body(path):
@@ -151,10 +157,7 @@ def load_container(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read back the tensor map and attributes written by `write_container`,
     bit-exactly."""
     manifest_len, body = _read_body(path)
-    try:
-        manifest = json.loads(body[:manifest_len].tobytes().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise FormatError(f"{path}: malformed manifest: {exc}") from exc
+    manifest = parse_json(path, body[:manifest_len], "manifest")
     if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), dict):
         raise FormatError(f"{path}: manifest missing 'tensors' map")
     attrs = manifest.get("attrs", {})

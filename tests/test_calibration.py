@@ -12,6 +12,7 @@ from modquant import (
     load_calibration,
     save_calibration,
     seeded_random_matrix,
+    synthetic_activations,
     vision_seq_len,
 )
 from modquant.quantcore import inverse_hessian_factor
@@ -144,6 +145,15 @@ class TestCapture:
         with pytest.raises(InvariantError, match="no vision module"):
             capture_calibration(model, [seeded_random_matrix(2, 8, 0)], "vision")
 
+    @pytest.mark.parametrize("layers,selector,match", [
+        ((1, 0), "crossmodal", "no cross-modal module"),
+        ((1, 1), "audio", "unknown module selector 'audio'"),
+    ], ids=["no cross-modal layers", "unknown selector"])
+    def test_selector_the_model_cannot_serve_rejected(self, layers, selector, match):
+        model = generate_model(*layers, 8, seed=0)
+        with pytest.raises(InvariantError, match=match):
+            capture_calibration(model, [seeded_random_matrix(2, 8, 0)], selector)
+
     def test_dim_mismatch_rejected(self):
         model = generate_model(1, 0, 8, seed=0)
         with pytest.raises(InvariantError):
@@ -171,12 +181,22 @@ def test_calibration_set_invariants():
         )
 
 
-@pytest.mark.parametrize("aux", [np.zeros((2, 2, 2), np.float32), np.zeros(4, np.int64)],
-                         ids=["3-D", "int64"])
-def test_aux_the_container_cannot_store_rejected(aux):
-    """Checked when the set is built, by the rule `save_calibration` applies."""
-    with pytest.raises(InvariantError, match="calib/aux/mask"):
-        CalibrationSet("vision", [seeded_random_matrix(2, 3, 0)], {"mask": aux})
+@pytest.mark.parametrize("aux,match", [
+    ({"mask": np.zeros((2, 2, 2), np.float32)}, "calib/aux/mask"),
+    ({"mask": np.zeros(4, np.int64)}, "calib/aux/mask"),
+    ({1: np.zeros(4, np.float32)}, r"aux names must be str, got \[1\]"),
+], ids=["3-D", "int64", "int name"])
+def test_aux_the_container_cannot_store_rejected(aux, match):
+    """Checked when the set is built, by the rule `save_calibration` applies;
+    an int name would be saved as a str and reload under another key."""
+    with pytest.raises(InvariantError, match=match):
+        CalibrationSet("vision", [seeded_random_matrix(2, 3, 0)], aux)
+
+
+@pytest.mark.parametrize("rows,dim", [(0, 4), (4, 0)])
+def test_synthetic_activations_zero_dimension_rejected(rows, dim):
+    with pytest.raises(InvariantError, match="dimensions must be >= 1"):
+        synthetic_activations(rows, dim, 0)
 
 
 def test_calibration_container_roundtrip(tmp_path):

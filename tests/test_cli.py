@@ -7,6 +7,7 @@ from modquant import (
     CalibrationSet,
     TileConfig,
     generate_model,
+    load_calibration,
     load_checkpoint,
     load_container,
     save_calibration,
@@ -397,8 +398,38 @@ def test_negative_seed_is_invariant_error(tmp_path, capsys, command):
     (tmp_path / "cfgs.json").write_text('[{"block_m": 8, "block_d": 8, "block_k": 8}]')
     args = [a.format(d=tmp_path) for a in NEGATIVE_SEED_COMMANDS[command]]
     assert main([command, *args, "--seed", "-1"]) == 4
-    assert "--seed" in capsys.readouterr().err
+    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfgs.json"]
+
+
+def test_gen_calib_seeds_share_no_sample(tmp_path):
+    def samples(seed, name):
+        path = tmp_path / name
+        assert main(["gen-calib", "--module", "vision", "--dim", "8", "--samples", "3",
+                     "--seqlen", "4", "--seed", str(seed), "--out", str(path)]) == 0
+        return path.read_bytes(), {s.tobytes() for s in load_calibration(path).samples}
+
+    first, drawn = samples(8, "a.bin")
+    again, _ = samples(8, "b.bin")
+    _, next_seed = samples(9, "c.bin")
+    assert first == again
+    assert len(drawn) == 3 and not drawn & next_seed
+
+
+def test_gen_calib_negative_sizes_are_invariant_errors(tmp_path, capsys):
+    assert main(["gen-calib", "--module", "vision", "--dim", "8", "--samples", "-2",
+                 "--seqlen", "-4", "--out", str(tmp_path / "c.bin")]) == 4
+    assert "samples and seqlen must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "c.bin").exists()
+
+
+@pytest.mark.parametrize("layers,dim", [(("-1", "1"), "8"), (("1", "-1"), "8"), (("1", "1"), "0")],
+                         ids=["vision", "crossmodal", "dim"])
+def test_gen_model_bad_geometry_is_invariant_error(tmp_path, capsys, layers, dim):
+    assert main(["gen-model", "--vision-layers", layers[0], "--crossmodal-layers", layers[1],
+                 "--dim", dim, "--out", str(tmp_path / "m.bin")]) == 4
+    assert "bad model geometry" in capsys.readouterr().err
+    assert not (tmp_path / "m.bin").exists()
 
 
 def test_gen_model_deterministic(tmp_path):

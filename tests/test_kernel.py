@@ -487,6 +487,11 @@ class TestAutotune:
             autotune(8, layer, [TileConfig(8, 8, 16), TileConfig(8, 8, 8)], runs=3,
                      clock=clock)
 
+    def test_fewer_than_three_runs_rejected(self):
+        layer = packed_layer(16, 8, 23)
+        with pytest.raises(InvariantError, match="runs must be >= 3, got 2"):
+            autotune(8, layer, [TileConfig(8, 8, 8)], runs=2)
+
     def test_all_invalid_candidates(self):
         layer = packed_layer(16, 8, 21)
         with pytest.raises(InvariantError):

@@ -124,6 +124,10 @@ class TestPackZeros:
         assert packed.shape == (1, 1)
         assert packed[0, 0] == 0x87654321
 
+    def test_one_d_grid_rejected(self):
+        with pytest.raises(InvariantError, match="zeros must be a 2-D grid"):
+            pack_zeros(np.arange(8, dtype=np.int32), 4)
+
     def test_all_ones_saturation(self):
         zeros = np.full((2, 8), 15, dtype=np.int32)
         assert (pack_zeros(zeros, 4) == 0xFFFFFFFF).all()

@@ -127,6 +127,11 @@ class TestQuantizeModel:
         with pytest.raises(InvariantError):
             quantize_model(model, bad, calib("crossmodal", 3), CFG)
 
+    def test_unknown_method_rejected(self, model):
+        with pytest.raises(InvariantError, match="unknown method 'awq'"):
+            quantize_model(model, calib("vision", 10), calib("crossmodal", 20), CFG,
+                           method="awq")
+
     def test_rtn_method_recorded(self, model):
         ck = quantize_model(model, calib("vision", 10), calib("crossmodal", 20),
                             CFG, method="rtn")

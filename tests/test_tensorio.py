@@ -12,6 +12,8 @@ from modquant import (
     InvariantError,
     generate_model,
     load_container,
+    load_model,
+    save_model,
     seeded_random_matrix,
     synthetic_activations,
     write_container,
@@ -115,6 +117,19 @@ def test_load_peak_memory_is_about_the_file_size(tmp_path):
         tracemalloc.stop()
     assert len(back) == 4
     assert peak <= 1.1 * size, (peak, size)
+
+
+def test_save_copies_no_payload(tmp_path):
+    """Each tensor's own buffer is written: no copy of the 16.8 MB payload."""
+    model = generate_model(0, 2, 512, seed=1)
+    tracemalloc.start()
+    try:
+        save_model(model, tmp_path / "m.bin")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert load_model(tmp_path / "m.bin").weights.keys() == model.weights.keys()
 
 
 def test_attrs_roundtrip(tmp_path):
@@ -299,6 +314,19 @@ class TestSeededRandomMatrix:
     def test_negative_seed_rejected(self, make):
         with pytest.raises(InvariantError, match="seed must be an integer >= 0, got -1"):
             make(-1)
+
+    @pytest.mark.parametrize("seed", [None, True, 1.0, "1", [1]],
+                             ids=["None", "True", "float", "str", "list"])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(InvariantError, match="seed must be an integer >= 0"):
+            seeded_random_matrix(2, 2, seed)
+
+    def test_numpy_integer_seed_is_its_int(self):
+        assert np.array_equal(seeded_random_matrix(2, 2, np.int64(7)),
+                              seeded_random_matrix(2, 2, 7))
+
+    def test_rows_extend_the_same_stream(self):
+        assert np.array_equal(seeded_random_matrix(6, 3, 5)[:2], seeded_random_matrix(2, 3, 5))
 
     def test_statistics(self):
         m = seeded_random_matrix(1000, 1000, 42)
