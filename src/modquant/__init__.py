@@ -47,7 +47,6 @@ from .pipeline import (
     size_report,
 )
 from .quantcore import (
-    GroupQuantParams,
     QuantConfig,
     QuantizedMatrix,
     dequantize_matrix,

@@ -158,7 +158,8 @@ def _parse_configs(path, bits: int) -> list[TileConfig]:
 def _cmd_bench(args) -> int:
     cfg = QuantConfig(bits=args.bits, groupsize=-1)
     candidates = _parse_configs(args.configs, args.bits)
-    w = seeded_random_matrix(args.k, args.d, args.seed + 1)
+    # A is rows [:m] of the seed's stream (what autotune and --trace draw), W rows after.
+    w = seeded_random_matrix(args.m + args.d, args.k, args.seed)[args.m:].T
     layer = pack_linear(rtn_quantize(w, cfg))
     best, table = autotune(args.m, layer, candidates, runs=args.runs,
                            seed=args.seed)

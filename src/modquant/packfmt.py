@@ -153,9 +153,6 @@ class PackedLinear:
         if not np.isfinite(self.scales).all():
             raise InvariantError("scales must be finite (float16 overflows above 65504)")
 
-    def unpack_qint(self) -> np.ndarray:
-        return unpack_weights(self.qweight, self.bits)
-
     def unpack_zero_codes(self) -> np.ndarray:
         return unpack_zeros(self.qzeros, self.bits, self.out_features)
 
@@ -165,9 +162,9 @@ def pack_linear(q: QuantizedMatrix, bias: np.ndarray | None = None) -> PackedLin
     `dequantize_packed(pack_linear(q))` equals `dequantize_matrix(q)`."""
     return PackedLinear(
         qweight=pack_weights(q.qint, q.bits),
-        scales=q.params.scales.copy(),
-        qzeros=pack_zeros(q.params.zeros, q.bits),
-        g_idx=q.params.g_idx.astype(np.int32),
+        scales=q.scales.copy(),
+        qzeros=pack_zeros(q.zeros, q.bits),
+        g_idx=group_index(q.shape[0], q.groupsize),
         bias=None if bias is None else np.asarray(bias, dtype=np.float32),
         bits=q.bits,
         groupsize=q.groupsize,
@@ -179,8 +176,8 @@ def pack_linear(q: QuantizedMatrix, bias: np.ndarray | None = None) -> PackedLin
 def dequantize_packed(layer: PackedLinear) -> np.ndarray:
     """Full dense f32 weight matrix from the packed form (bias excluded)."""
     g = layer.g_idx
-    return dequantize_codes(layer.unpack_qint(), layer.unpack_zero_codes()[g],
-                            layer.scales.astype(np.float32)[g])
+    return dequantize_codes(unpack_weights(layer.qweight, layer.bits),
+                            layer.unpack_zero_codes()[g], layer.scales.astype(np.float32)[g])
 
 
 def _packed_layout(

@@ -63,23 +63,18 @@ class QuantConfig:
 
 
 @dataclass
-class GroupQuantParams:
-    """Scales and zero points of a G x O group grid. The scales are float16,
-    the one set that quantization, dequantization, the proxy loss, the
-    checkpoint and the kernel all read: fitted in `compute_group_params`,
-    widened exactly to f32 or f64 wherever they are computed with."""
+class QuantizedMatrix:
+    """N-bit codes on one G x O group grid. Row i belongs to group
+    `group_index(I, groupsize)[i]`. The scales are float16, the one set that
+    quantization, dequantization, the proxy loss, the checkpoint and the
+    kernel all read: fitted in `compute_group_params`, widened exactly to
+    f32 or f64 wherever they are computed with."""
 
+    qint: np.ndarray    # (I, O) int32 in [0, 2^N - 1]
     scales: np.ndarray  # (G, O) f16, in [SCALE_FLOOR, SCALE_MAX]
     zeros: np.ndarray   # (G, O) int32 in [0, 2^N - 1]
-    g_idx: np.ndarray   # (I,) int32, nondecreasing
-
-
-@dataclass
-class QuantizedMatrix:
-    qint: np.ndarray  # (I, O) int32 in [0, 2^N - 1]
-    params: GroupQuantParams
     bits: int
-    groupsize: int  # as in QuantConfig; params.g_idx is its group_index
+    groupsize: int  # as in QuantConfig
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -100,8 +95,9 @@ def group_index(n_rows: int, groupsize: int) -> np.ndarray:
     return (np.arange(n_rows, dtype=np.int32) // gs).astype(np.int32)
 
 
-def compute_group_params(W: np.ndarray, cfg: QuantConfig) -> GroupQuantParams:
-    """Fit per-(group, column) float16 scales and integer zero points.
+def compute_group_params(W: np.ndarray, cfg: QuantConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Fit per-(group, column) float16 scales and int32 zero points, returned
+    as (scales, zeros).
 
     Asymmetric: scale = (max - min) / maxq, zero = clamp(round(-min /
     scale), 0, maxq), with the range widened to include 0 so a constant
@@ -120,8 +116,7 @@ def compute_group_params(W: np.ndarray, cfg: QuantConfig) -> GroupQuantParams:
     """
     n_rows, n_cols = W.shape
     gs = rows_per_group(n_rows, cfg.groupsize)
-    g_idx = group_index(n_rows, cfg.groupsize)
-    n_groups = int(g_idx[-1]) + 1
+    n_groups = -(-n_rows // gs)
 
     scales = np.empty((n_groups, n_cols), dtype=np.float16)
     zeros = np.empty((n_groups, n_cols), dtype=np.int32)
@@ -136,7 +131,7 @@ def compute_group_params(W: np.ndarray, cfg: QuantConfig) -> GroupQuantParams:
             hi = np.maximum(block.max(axis=0).astype(np.float64), 0.0)
             scales[g] = _float16_scales((hi - lo) / cfg.maxq)
             zeros[g] = np.clip(np.round(-lo / scales[g]), 0, cfg.maxq)
-    return GroupQuantParams(scales, zeros, g_idx)
+    return scales, zeros
 
 
 def _float16_scales(s: np.ndarray) -> np.ndarray:
@@ -166,17 +161,17 @@ def rtn_quantize(W: np.ndarray, cfg: QuantConfig) -> QuantizedMatrix:
     quotient). So the result equals the same formula evaluated in f64.
     """
     W = check_matrix(W)
-    params = compute_group_params(W, cfg)
+    scales, zeros = compute_group_params(W, cfg)
     gs = rows_per_group(W.shape[0], cfg.groupsize)
-    zeros = params.zeros.astype(np.float32)
+    z32 = zeros.astype(np.float32)
     qint = np.empty(W.shape, dtype=np.int32)
     for g, r0 in enumerate(range(0, W.shape[0], gs)):
-        q = W[r0 : r0 + gs] / params.scales[g]
+        q = W[r0 : r0 + gs] / scales[g]
         np.round(q, out=q)
-        q += zeros[g]
+        q += z32[g]
         np.clip(q, 0, cfg.maxq, out=q)
         qint[r0 : r0 + gs] = q
-    return QuantizedMatrix(qint, params, cfg.bits, cfg.groupsize)
+    return QuantizedMatrix(qint, scales, zeros, cfg.bits, cfg.groupsize)
 
 
 def dequantize_codes(codes: np.ndarray, zeros: np.ndarray, scales: np.ndarray) -> np.ndarray:
@@ -196,9 +191,10 @@ def dequantize_codes(codes: np.ndarray, zeros: np.ndarray, scales: np.ndarray) -
 
 
 def dequantize_matrix(q: QuantizedMatrix) -> np.ndarray:
-    """out[i][o] = (qint[i][o] - zeros[g][o]) * scales[g][o], g = g_idx[i]."""
-    p = q.params
-    return dequantize_codes(q.qint.copy(), p.zeros[p.g_idx], p.scales[p.g_idx])
+    """out[i][o] = (qint[i][o] - zeros[g][o]) * scales[g][o] with
+    g = group_index(I, groupsize)[i]."""
+    g = group_index(q.shape[0], q.groupsize)
+    return dequantize_codes(q.qint.copy(), q.zeros[g], q.scales.astype(np.float32)[g])
 
 
 def gptq_quantize(W: np.ndarray, cfg: QuantConfig, *, factor: np.ndarray) -> QuantizedMatrix:
@@ -236,14 +232,14 @@ def gptq_quantize(W: np.ndarray, cfg: QuantConfig, *, factor: np.ndarray) -> Qua
         raise InvariantError(
             "factor must be finite and upper triangular with a positive diagonal"
         )
-    params = compute_group_params(W, cfg)
+    scales, zeros = compute_group_params(W, cfg)
 
     work = W.astype(np.float64)
     qint = np.empty((n_rows, n_cols), dtype=np.int32)
-    scales = params.scales.astype(np.float64)
-    zeros = params.zeros.astype(np.float64)
-    lo, hi = -zeros, cfg.maxq - zeros
-    g_idx = params.g_idx.tolist()
+    s64 = scales.astype(np.float64)
+    z64 = zeros.astype(np.float64)
+    lo, hi = -z64, cfg.maxq - z64
+    g_idx = group_index(n_rows, cfg.groupsize).tolist()
     diag = np.diag(u).tolist()
     qz = np.empty(n_cols)  # q - z of the row being snapped
     for b0 in range(0, n_rows, GPTQ_BLOCK):
@@ -256,12 +252,12 @@ def gptq_quantize(W: np.ndarray, cfg: QuantConfig, *, factor: np.ndarray) -> Qua
                 if i > s0:
                     row -= u[s0:i, i] @ errs[s0 - b0 : i - b0]
                 g = g_idx[i]
-                s = scales[g]
+                s = s64[g]
                 np.divide(row, s, out=qz)
                 np.rint(qz, out=qz)
                 np.maximum(qz, lo[g], out=qz)
                 np.minimum(qz, hi[g], out=qz)
-                np.add(qz, zeros[g], out=qint[i], casting="unsafe")
+                np.add(qz, z64[g], out=qint[i], casting="unsafe")
                 np.multiply(qz, s, out=err)
                 np.subtract(row, err, out=err)
                 err /= diag[i]
@@ -269,7 +265,7 @@ def gptq_quantize(W: np.ndarray, cfg: QuantConfig, *, factor: np.ndarray) -> Qua
                 work[s1:b1] -= u[s0:s1, s1:b1].T @ errs[s0 - b0 : s1 - b0]
         if b1 < n_rows:
             work[b1:] -= u[b0:b1, b1:].T @ errs
-    return QuantizedMatrix(qint, params, cfg.bits, cfg.groupsize)
+    return QuantizedMatrix(qint, scales, zeros, cfg.bits, cfg.groupsize)
 
 
 def inverse_hessian_factor(H: np.ndarray) -> np.ndarray:

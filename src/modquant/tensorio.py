@@ -155,7 +155,9 @@ def _read_body(path):
 
 def load_container(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read back the tensor map and attributes written by `write_container`,
-    bit-exactly."""
+    bit-exactly. Each manifest entry's `dtype` is a str, `shape` a list of
+    ints, and `offset` and `length` ints, by `typed_attr`; anything else is
+    a FormatError naming the file and the tensor."""
     manifest_len, body = _read_body(path)
     manifest = parse_json(path, body[:manifest_len], "manifest")
     if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), dict):
@@ -168,12 +170,12 @@ def load_container(path) -> tuple[dict[str, np.ndarray], dict]:
     tensors = {}
     spans = []
     for name, entry in manifest["tensors"].items():
-        try:
-            dtype = DTYPES[entry["dtype"]]
-            shape = tuple(int(s) for s in entry["shape"])
-            off, length = int(entry["offset"]), int(entry["length"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"{path}: bad manifest entry for {name!r}") from exc
+        with file_invariants(f"{path}: tensor {name!r}"):
+            dtype = DTYPES.get(typed_attr(entry, "dtype", str))
+            if dtype is None:
+                raise InvariantError(f"dtype {entry['dtype']!r} not in {sorted(DTYPES)}")
+            shape = tuple(list_attr(entry, "shape", int))
+            off, length = typed_attr(entry, "offset", int), typed_attr(entry, "length", int)
         if len(shape) not in (1, 2) or min(shape) < 0 or off < 0 or length < 0:
             raise FormatError(
                 f"{path}: tensor {name!r} has bad shape {list(shape)}, "

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from modquant import InvariantError, QuantizedMatrix, lanes_per_word
+from modquant import InvariantError, QuantizedMatrix, group_index, lanes_per_word
 from modquant.tensorio import check_matrix
 
 
@@ -22,14 +22,15 @@ def reference_matmul(
     return out
 
 
-def round_to_grid(W: np.ndarray, params, bits: int) -> QuantizedMatrix:
-    """Round-to-nearest onto given group parameters:
-    clip(round(W / s) + z, 0, 2^bits - 1) with (s, z) = params[g_idx]."""
+def round_to_grid(
+    W: np.ndarray, scales: np.ndarray, zeros: np.ndarray, bits: int, groupsize: int
+) -> QuantizedMatrix:
+    """Round-to-nearest onto a given group grid:
+    clip(round(W / s) + z, 0, 2^bits - 1) with (s, z) of each row's group."""
     W = check_matrix(W)
-    s = params.scales[params.g_idx]
-    z = params.zeros[params.g_idx]
-    qint = np.clip(np.round(W / s) + z, 0, (1 << bits) - 1).astype(np.int32)
-    return QuantizedMatrix(qint, params, bits, int(np.count_nonzero(params.g_idx == 0)))
+    g_idx = group_index(W.shape[0], groupsize)
+    qint = np.clip(np.round(W / scales[g_idx]) + zeros[g_idx], 0, (1 << bits) - 1)
+    return QuantizedMatrix(qint.astype(np.int32), scales, zeros, bits, groupsize)
 
 
 def shift_or_pack(grid: np.ndarray, bits: int) -> np.ndarray:

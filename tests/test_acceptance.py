@@ -105,8 +105,8 @@ def test_criterion_3_kernel_oracle_equivalence():
             assert err <= 1e-5, f"instance {t}: rel err {err}"
         # exact fixtures
         q = rtn_quantize(np.eye(16, dtype=np.float32), QuantConfig(bits=4))
-        q.params.scales[:] = 1.0
-        q.params.zeros[:] = 0
+        q.scales[:] = 1.0
+        q.zeros[:] = 0
         q.qint = np.eye(16, dtype=np.int32)
         ident = pack_linear(q)
         a = seeded_random_matrix(4, 16, 1)

@@ -15,6 +15,7 @@ from modquant import (
     seeded_random_matrix,
     write_container,
 )
+from modquant import cli, kernel
 from modquant.cli import main
 from modquant.kernel import tile_plan
 
@@ -414,6 +415,30 @@ def test_gen_calib_seeds_share_no_sample(tmp_path):
     _, next_seed = samples(9, "c.bin")
     assert first == again
     assert len(drawn) == 3 and not drawn & next_seed
+
+
+def test_bench_seeds_share_no_value(tmp_path, monkeypatch):
+    # Every value bench draws (the timed A and the quantized W) for seed 0
+    # and for seed 1; a seed it rejects stops it before it quantizes.
+    drawn = []
+    quantize, matmul = cli.rtn_quantize, kernel.quant_matmul
+    monkeypatch.setattr(cli, "rtn_quantize", lambda w, cfg: drawn.append(w) or quantize(w, cfg))
+    monkeypatch.setattr(kernel, "quant_matmul",
+                        lambda a, *args: drawn.append(a) or matmul(a, *args))
+    cfgs = tmp_path / "cfgs.json"
+    cfgs.write_text('[{"block_m": 8, "block_d": 8, "block_k": 8}]')
+
+    def values(seed):
+        drawn.clear()
+        assert main(["bench", "--m", "8", "--k", "16", "--d", "8", "--configs", str(cfgs),
+                     "--seed", str(seed)]) == 0
+        return set(np.concatenate([x.ravel() for x in drawn]).tolist())
+
+    assert not values(0) & values(1)
+    drawn.clear()
+    assert main(["bench", "--m", "8", "--k", "16", "--d", "8", "--configs", str(cfgs),
+                 "--seed", "-1"]) == 4
+    assert not drawn
 
 
 def test_gen_calib_negative_sizes_are_invariant_errors(tmp_path, capsys):

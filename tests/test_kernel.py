@@ -31,8 +31,8 @@ def identity_layer(n):
     w = np.eye(n, dtype=np.float32) * 15
     q = rtn_quantize(w, QuantConfig(bits=4, groupsize=-1))
     # force an exactly-representable grid: scale 1, zero 0
-    q.params.scales[:] = 1.0
-    q.params.zeros[:] = 0
+    q.scales[:] = 1.0
+    q.zeros[:] = 0
     q.qint = np.eye(n, dtype=np.int32)
     return pack_linear(q)
 
@@ -109,8 +109,8 @@ class TestQuantMatmul:
     def test_identity_with_bias(self):
         w = np.eye(16, dtype=np.float32) * 15
         q = rtn_quantize(w, QuantConfig(bits=4, groupsize=-1))
-        q.params.scales[:] = 1.0
-        q.params.zeros[:] = 0
+        q.scales[:] = 1.0
+        q.zeros[:] = 0
         q.qint = np.eye(16, dtype=np.int32)
         bias = np.arange(16, dtype=np.float32)
         layer = pack_linear(q, bias=bias)

@@ -177,23 +177,23 @@ class TestPackLinear:
         q = rtn_quantize(w, cfg)
         layer = pack_linear(q)
         assert np.allclose(dequantize_packed(layer), w, atol=1e-2)
-        assert np.array_equal(layer.unpack_qint(), q.qint)
+        assert np.array_equal(unpack_weights(layer.qweight, layer.bits), q.qint)
 
     def test_roundtrip_matches_unpacked(self):
         cfg = QuantConfig(bits=4, groupsize=16)
         w = seeded_random_matrix(64, 24, 0)
         q = rtn_quantize(w, cfg)
         layer = pack_linear(q, bias=np.arange(24, dtype=np.float32))
-        assert np.array_equal(layer.unpack_qint(), q.qint)
-        assert np.array_equal(layer.unpack_zero_codes(), q.params.zeros)
+        assert np.array_equal(unpack_weights(layer.qweight, layer.bits), q.qint)
+        assert np.array_equal(layer.unpack_zero_codes(), q.zeros)
         # the layer stores the very float16 scales q was quantized with
-        assert layer.scales.tobytes() == q.params.scales.tobytes()
+        assert layer.scales.tobytes() == q.scales.tobytes()
         assert dequantize_packed(layer).tobytes() == dequantize_matrix(q).tobytes()
 
     def test_exact_when_scales_f16_representable(self):
         params_grid = np.arange(16, dtype=np.float32).reshape(16, 1)
         q = rtn_quantize(params_grid, QuantConfig(bits=4, groupsize=-1))
-        assert q.params.scales[0, 0] == 1.0  # exactly representable in f16
+        assert q.scales[0, 0] == 1.0  # exactly representable in f16
         layer = pack_linear(q)
         assert np.array_equal(dequantize_packed(layer), dequantize_matrix(q))
 

@@ -24,7 +24,6 @@ from modquant import quantcore
 from modquant.packfmt import packed_tensors
 from modquant.quantcore import (
     SCALE_FLOOR,
-    GroupQuantParams,
     QuantizedMatrix,
     compute_group_params,
     inverse_hessian_factor,
@@ -44,22 +43,21 @@ def row_loop_gptq(W, H, cfg):
     W = np.asarray(W, dtype=np.float32)
     H = np.asarray(H, dtype=np.float64)
     n_rows, n_cols = W.shape
-    params = compute_group_params(W, cfg)
+    scales, zeros = compute_group_params(W, cfg)
+    g_idx = group_index(n_rows, cfg.groupsize)
     c = np.linalg.cholesky(H)
     u = np.linalg.cholesky(np.linalg.inv(c.T) @ np.linalg.inv(c)).T
     work = W.astype(np.float64)
     qint = np.empty((n_rows, n_cols), dtype=np.int32)
-    scales = params.scales.astype(np.float64)
-    zeros = params.zeros.astype(np.float64)
     for i in range(n_rows):
-        g = params.g_idx[i]
-        s, z = scales[g], zeros[g]
+        g = g_idx[i]
+        s, z = scales[g].astype(np.float64), zeros[g].astype(np.float64)
         q = np.clip(np.round(work[i] / s) + z, 0, cfg.maxq)
         qint[i] = q.astype(np.int32)
         err = (work[i] - (q - z) * s) / u[i, i]
         if i + 1 < n_rows:
             work[i + 1 :] -= np.outer(u[i, i + 1 :], err)
-    return QuantizedMatrix(qint, params, cfg.bits, cfg.groupsize)
+    return QuantizedMatrix(qint, scales, zeros, cfg.bits, cfg.groupsize)
 
 
 def lu_inverse_hessian_factor(H):
@@ -93,70 +91,71 @@ class TestQuantConfig:
 class TestGroupParams:
     def test_exact_grid_fit(self):
         w = np.arange(16, dtype=np.float32).reshape(16, 1)
-        p = compute_group_params(w, QuantConfig(bits=4, groupsize=-1))
-        assert p.scales[0, 0] == pytest.approx(1.0)
-        assert p.zeros[0, 0] == 0
+        scales, zeros = compute_group_params(w, QuantConfig(bits=4, groupsize=-1))
+        assert scales[0, 0] == pytest.approx(1.0)
+        assert zeros[0, 0] == 0
 
     def test_constant_column_on_grid(self):
         # zero-inclusive range: a constant column becomes exactly
         # representable (zero point 0, value at code maxq)
         w = np.full((8, 1), 3.7, dtype=np.float32)
         cfg = QuantConfig(bits=4, groupsize=-1)
-        p = compute_group_params(w, cfg)
+        scales, zeros = compute_group_params(w, cfg)
         # the scale is the smallest float16 at or above the range / maxq
-        s = p.scales[0, 0]
+        s = scales[0, 0]
         assert s.dtype == np.float16
         assert np.nextafter(s, np.float16(0)) < np.float32(3.7) / 15 <= s
-        assert p.zeros[0, 0] == 0
-        q = round_to_grid(w, p, cfg.bits)
+        assert zeros[0, 0] == 0
+        q = round_to_grid(w, scales, zeros, cfg.bits, cfg.groupsize)
         assert np.array_equal(q.qint, rtn_quantize(w, cfg).qint)
         dq = dequantize_matrix(q)
-        assert np.abs(3.7 - dq).max() <= p.scales[0, 0] * (1 << 4)
+        assert np.abs(3.7 - dq).max() <= s * (1 << 4)
 
     def test_zero_column_scale_floor(self):
         w = np.zeros((8, 1), dtype=np.float32)
         cfg = QuantConfig(bits=4, groupsize=-1)
-        p = compute_group_params(w, cfg)
-        assert p.scales[0, 0] == SCALE_FLOOR
-        assert not dequantize_matrix(round_to_grid(w, p, cfg.bits)).any()
+        scales, zeros = compute_group_params(w, cfg)
+        assert scales[0, 0] == SCALE_FLOOR
+        assert not dequantize_matrix(round_to_grid(w, scales, zeros, cfg.bits, cfg.groupsize)).any()
 
     @pytest.mark.filterwarnings("error")
     def test_scale_max_is_float16s_largest(self):
         # 2-bit symmetric: scale = max |w| / 1, so the column is the scale
         cfg = QuantConfig(bits=2, groupsize=-1, symmetric=True)
-        assert compute_group_params(np.full((4, 1), 65504.0, np.float32), cfg).scales[0, 0] == 65504
+        assert compute_group_params(np.full((4, 1), 65504.0, np.float32), cfg)[0][0, 0] == 65504
         with pytest.raises(InvariantError, match="exceeds 65504"):
             compute_group_params(np.full((4, 1), 65505.0, np.float32), cfg)
 
     def test_group_count_and_g_idx(self):
         w = seeded_random_matrix(256, 4, 0)
-        p = compute_group_params(w, QuantConfig(bits=4, groupsize=128))
-        assert p.scales.shape[0] == 2
-        assert np.array_equal(p.g_idx, np.repeat([0, 1], 128))
+        scales, zeros = compute_group_params(w, QuantConfig(bits=4, groupsize=128))
+        assert scales.shape == zeros.shape == (2, 4)
+        assert np.array_equal(group_index(256, 128), np.repeat([0, 1], 128))
 
     def test_short_last_group(self):
         w = seeded_random_matrix(10, 4, 1)
-        p = compute_group_params(w, QuantConfig(bits=4, groupsize=4))
-        assert p.scales.shape[0] == 3  # ceil(10/4)
-        assert np.array_equal(p.g_idx, [0, 0, 0, 0, 1, 1, 1, 1, 2, 2])
+        scales, zeros = compute_group_params(w, QuantConfig(bits=4, groupsize=4))
+        assert scales.shape == zeros.shape == (3, 4)  # ceil(10/4) groups
+        assert np.array_equal(group_index(10, 4), [0, 0, 0, 0, 1, 1, 1, 1, 2, 2])
 
     def test_scales_positive_zeros_in_range(self):
         w = seeded_random_matrix(64, 32, 2)
         for sym in (False, True):
-            p = compute_group_params(w, QuantConfig(bits=4, groupsize=16, symmetric=sym))
-            assert (p.scales > 0).all()
-            assert (p.zeros >= 0).all() and (p.zeros <= 15).all()
+            cfg = QuantConfig(bits=4, groupsize=16, symmetric=sym)
+            scales, zeros = compute_group_params(w, cfg)
+            assert (scales > 0).all()
+            assert (zeros >= 0).all() and (zeros <= 15).all()
 
     def test_group_locality(self):
         cfg = QuantConfig(bits=4, groupsize=8)
         w = seeded_random_matrix(32, 8, 3)
-        before = compute_group_params(w, cfg)
+        s_before, z_before = compute_group_params(w, cfg)
         w2 = w.copy()
         w2[0:8] *= 3.0  # perturb group 0 only
-        after = compute_group_params(w2, cfg)
-        assert np.array_equal(before.scales[1:], after.scales[1:])
-        assert np.array_equal(before.zeros[1:], after.zeros[1:])
-        assert not np.array_equal(before.scales[0], after.scales[0])
+        s_after, z_after = compute_group_params(w2, cfg)
+        assert np.array_equal(s_before[1:], s_after[1:])
+        assert np.array_equal(z_before[1:], z_after[1:])
+        assert not np.array_equal(s_before[0], s_after[0])
 
 
 class TestRtn:
@@ -164,16 +163,12 @@ class TestRtn:
         cfg = QuantConfig(bits=4, groupsize=-1)
         q = rtn_quantize(seeded_random_matrix(16, 8, 4), cfg)
         w = dequantize_matrix(q)
-        q2 = round_to_grid(w, q.params, cfg.bits)
+        q2 = round_to_grid(w, q.scales, q.zeros, cfg.bits, cfg.groupsize)
         assert np.array_equal(q.qint, q2.qint)
 
     def test_scalar_rounding(self):
-        params = GroupQuantParams(
-            scales=np.ones((1, 1), dtype=np.float32),
-            zeros=np.zeros((1, 1), dtype=np.int32),
-            g_idx=np.zeros(1, dtype=np.int32),
-        )
-        q = round_to_grid(np.array([[0.6]], dtype=np.float32), params, 4)
+        q = round_to_grid(np.array([[0.6]], dtype=np.float32), np.ones((1, 1), dtype=np.float16),
+                          np.zeros((1, 1), dtype=np.int32), 4, -1)
         assert q.qint[0, 0] == 1
         assert dequantize_matrix(q)[0, 0] == 1.0
 
@@ -182,7 +177,7 @@ class TestRtn:
         w = seeded_random_matrix(32, 32, 5)
         q = rtn_quantize(w, cfg)
         err = np.abs(w - dequantize_matrix(q))
-        bound = q.params.scales[q.params.g_idx] / 2.0 + 1e-6
+        bound = q.scales[group_index(32, 16)] / 2.0 + 1e-6
         assert (err <= bound).all()
 
     @settings(max_examples=40, deadline=None)
@@ -197,8 +192,8 @@ class TestRtn:
         cfg = QuantConfig(bits=bits, groupsize=gs)
         w = seeded_random_matrix(rows, cols, seed)
         q = rtn_quantize(w, cfg)
-        assert np.array_equal(q.qint, round_to_grid(w, q.params, bits).qint)
-        redo = round_to_grid(dequantize_matrix(q), q.params, cfg.bits)
+        assert np.array_equal(q.qint, round_to_grid(w, q.scales, q.zeros, bits, gs).qint)
+        redo = round_to_grid(dequantize_matrix(q), q.scales, q.zeros, bits, gs)
         assert np.array_equal(q.qint, redo.qint)
 
 
@@ -209,9 +204,9 @@ def test_rtn_rounds_half_to_even(symmetric):
     lo, hi = (-7, 7) if symmetric else (0, 15)
     w = np.concatenate([[lo, hi], np.arange(lo, hi) + 0.5]).astype(np.float32)[:, None]
     q = rtn_quantize(w, QuantConfig(bits=4, symmetric=symmetric))
-    assert q.params.scales[0, 0] == 1.0
-    assert np.array_equal(q.qint, round_to_grid(w, q.params, 4).qint)
-    assert np.array_equal(q.qint[2:, 0] - q.params.zeros[0, 0],
+    assert q.scales[0, 0] == 1.0
+    assert np.array_equal(q.qint, round_to_grid(w, q.scales, q.zeros, 4, -1).qint)
+    assert np.array_equal(q.qint[2:, 0] - q.zeros[0, 0],
                           np.round(w[2:, 0]).astype(np.int32))
 
 
@@ -252,27 +247,20 @@ def rtn_cases(draw):
 def test_rtn_matches_oracle_bytes(case):
     W, cfg = case
     q = rtn_quantize(W, cfg)
-    expect = round_to_grid(W, q.params, cfg.bits).qint
+    expect = round_to_grid(W, q.scales, q.zeros, cfg.bits, cfg.groupsize).qint
     assert q.qint.dtype == expect.dtype and q.qint.tobytes() == expect.tobytes()
 
 
 class TestDequantize:
     def test_zero_point_identity(self):
-        params = GroupQuantParams(
-            scales=np.full((1, 3), 0.5, dtype=np.float32),
-            zeros=np.array([[1, 2, 3]], dtype=np.int32),
-            g_idx=np.zeros(4, dtype=np.int32),
-        )
-        q = QuantizedMatrix(np.tile([1, 2, 3], (4, 1)).astype(np.int32), params, 4, -1)
+        q = QuantizedMatrix(np.tile([1, 2, 3], (4, 1)).astype(np.int32),
+                            np.full((1, 3), 0.5, dtype=np.float16),
+                            np.array([[1, 2, 3]], dtype=np.int32), 4, -1)
         assert not dequantize_matrix(q).any()
 
     def test_scalar_arithmetic(self):
-        params = GroupQuantParams(
-            scales=np.array([[0.5]], dtype=np.float32),
-            zeros=np.array([[1]], dtype=np.int32),
-            g_idx=np.zeros(1, dtype=np.int32),
-        )
-        q = QuantizedMatrix(np.array([[3]], dtype=np.int32), params, 4, -1)
+        q = QuantizedMatrix(np.array([[3]], dtype=np.int32), np.array([[0.5]], dtype=np.float16),
+                            np.array([[1]], dtype=np.int32), 4, -1)
         assert dequantize_matrix(q)[0, 0] == 1.0
 
     def test_scalar_loop_oracle(self):
@@ -280,12 +268,11 @@ class TestDequantize:
         w = seeded_random_matrix(16, 6, 6)
         q = rtn_quantize(w, cfg)
         fast = dequantize_matrix(q)
-        p = q.params
         for i in range(16):
-            g = p.g_idx[i]
+            g = i // 8
             for o in range(6):
                 ref = np.float32(
-                    (np.int32(q.qint[i, o]) - p.zeros[g, o]) * p.scales[g, o]
+                    (np.int32(q.qint[i, o]) - q.zeros[g, o]) * q.scales[g, o]
                 )
                 assert fast[i, o] == ref
 
@@ -402,8 +389,9 @@ class TestGptq:
         w = seeded_random_matrix(24, 8, 11)
         q = gptq_quantize(w, cfg, factor=inverse_hessian_factor(spd_hessian(24, 12)))
         assert (q.qint >= 0).all() and (q.qint <= 15).all()
-        assert (q.params.scales > 0).all()
-        assert np.array_equal(q.params.g_idx, group_index(24, 8))
+        assert (q.scales > 0).all()
+        assert q.scales.shape == q.zeros.shape == (3, 8)
+        assert (q.bits, q.groupsize) == (4, 8)
 
 
 def assert_pipeline_matches_row_loop(vision, crossmodal, dim, seed, rows, samples):

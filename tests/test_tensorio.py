@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import tracemalloc
 
@@ -223,16 +224,22 @@ def _entry(shape, offset=0, length=None, dtype="f32"):
         ({"x": _entry([2**70], length=4)}, {}, bytes(4)),
         ({"x": _entry([float("inf")], length=4)}, {}, bytes(4)),
         ({"x": _entry([1])}, {"names": DEEP}, bytes(4)),
+        ({"x": _entry("24", length=32)}, {}, bytes(32)),
+        ({"x": _entry([2.9, 4.2], length=32)}, {}, bytes(32)),
+        ({"x": _entry([True, 8], length=32)}, {}, bytes(32)),
+        ({"x": _entry([2, 4], offset="0")}, {}, bytes(32)),
+        ({"x": _entry([2, 4], length=32.5)}, {}, bytes(32)),
     ],
     ids=["negative-dim-and-length", "negative-dims", "negative-offset",
          "tensors-not-a-map", "entry-not-a-map", "3-d", "0-d", "gap",
          "trailing-bytes", "overlap", "attrs-not-a-map", "dim-over-int64",
-         "infinite-dim", "nested-too-deep"],
+         "infinite-dim", "nested-too-deep", "shape-a-string", "float-dims",
+         "bool-dim", "offset-a-string", "float-length"],
 )
 def test_bad_manifest_is_format_error(tmp_path, tensors, attrs, payload):
     path = tmp_path / "c.bin"
     _write_raw(path, {"tensors": tensors, "attrs": attrs}, payload)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=re.escape(str(path))):
         load_container(path)
 
 
