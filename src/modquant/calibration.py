@@ -60,37 +60,29 @@ class CalibrationSet:
 
 
 def hessian_from_samples(samples, damp_ratio: float) -> np.ndarray:
-    """Damped Hessian H + lambda*I, with H = 2 * X^T X summed over `samples`
-    and lambda = damp_ratio * mean(diag(H)). H is d x d for the width d that
-    every sample shares; no samples, or two widths, and a damp_ratio that
-    `QuantConfig` rejects, is an InvariantError.
+    """Damped Hessian H + lambda*I in f64, with H = 2 * X^T X for X the
+    `samples` stacked in order and lambda = damp_ratio * mean(diag(H)). H is
+    d x d for the width d that every sample shares; no samples, or two
+    widths, and a damp_ratio that `QuantConfig` rejects, is an InvariantError.
 
-    The sum runs in f32 in sample order and is symmetrized before damping.
-    A lambda of 0, or a Hessian or damped diagonal that f32 cannot hold,
-    is a NumericError, checked in f64 before the damping is cast to f32.
-    Definiteness is not checked here: GPTQ's factorization
-    (`inverse_hessian_factor`) raises NumericError on a damped Hessian it
-    cannot factorize.
+    X is widened to f64 and H is one product, which numpy forms as a
+    symmetric one; products of finite f32 values neither overflow nor
+    underflow in f64. A lambda outside (0, inf), from all-zero samples or a
+    damp_ratio too large for f64, is a NumericError. Definiteness is not
+    checked here: GPTQ's factorization (`inverse_hessian_factor`) raises
+    NumericError on a damped Hessian it cannot factorize.
     """
     QuantConfig(damp_ratio=damp_ratio)
-    samples = _one_width(samples)
-    dim = samples[0].shape[1]
-    h = np.zeros((dim, dim), dtype=np.float32)
-    # An f32 overflow leaves inf or NaN in h, which the check below reports.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for x in samples:
-            h += 2.0 * (x.T @ x)
-        h = (h + h.T) / 2.0
-    diag = np.diag(h).astype(np.float64)
-    lam = damp_ratio * float(np.mean(diag))
-    if lam <= 0:
-        raise NumericError("all-zero Hessian: damping produced lambda = 0")
-    if not (np.isfinite(h).all() and diag.max() + lam <= np.finfo(np.float32).max):
+    x = np.concatenate(_one_width(samples), dtype=np.float64)
+    h = 2.0 * (x.T @ x)
+    lam = damp_ratio * float(np.mean(np.diag(h)))
+    if not 0 < lam < np.inf:
         raise NumericError(
-            f"damped Hessian is not finite in f32 (lambda = {lam:.6g}); "
-            "lower damp_ratio or rescale the calibration"
+            f"damping lambda = {lam:.6g} is not in (0, inf): an all-zero Hessian, "
+            "or a damp_ratio that f64 cannot hold"
         )
-    return h + np.float32(lam) * np.eye(dim, dtype=np.float32)
+    h[np.diag_indices_from(h)] += lam
+    return h
 
 
 def synthetic_activations(rows: int, dim: int, seed: int) -> np.ndarray:

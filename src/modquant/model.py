@@ -1,9 +1,11 @@
 """Synthetic layer stacks standing in for a real vision-language model.
 
-A model is a sequential stack: vision layers (one square weight each)
-followed by cross-modal layers, each of which owns the four component
-groups quantized as units (attention QKV including modality experts,
-attention output, MLP gate/up, MLP down).
+A model is a sequential stack: vision layers (one weight each, not
+necessarily square: the first reads D_V, each later one reads its
+predecessor's out_features, and the last writes D_M when cross-modal
+layers follow) followed by cross-modal layers, each of which owns the
+four component groups quantized as units (attention QKV including
+modality experts, attention output, MLP gate/up, MLP down).
 """
 
 from __future__ import annotations

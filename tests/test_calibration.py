@@ -27,7 +27,7 @@ def damped(raw, damp_ratio=0.01):
 class TestAccumulate:
     def test_single_row_fixture(self):
         h = hessian_from_samples([np.array([[1.0, 0.0]], dtype=np.float32)], 0.01)
-        assert h.dtype == np.float32
+        assert h.dtype == np.float64
         assert np.allclose(h, [[2.01, 0.0], [0.0, 0.01]])
 
     def test_additivity(self):
@@ -64,6 +64,14 @@ class TestAccumulate:
             v = rng.standard_normal(6)
             assert float(v @ h @ v) >= -1e-4
 
+    @pytest.mark.parametrize("shapes", [
+        [(1, 1)], [(3, 2)], [(30, 6)], [(5, 4), (7, 4)], [(577, 96)], [(40, 130), (9, 130)],
+    ], ids=str)
+    def test_exactly_symmetric(self, shapes):
+        samples = [seeded_random_matrix(r, c, k) for k, (r, c) in enumerate(shapes)]
+        h = hessian_from_samples(samples, 0.01)
+        assert np.array_equal(h, h.T)
+
 
 class TestFinalize:
     def test_diagonal_fixture(self):
@@ -89,25 +97,33 @@ class TestFinalize:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("x,damp_ratio", [
-        (seeded_random_matrix(8, 4, 5), 1e38),  # lambda finite in f64, not in f32
-        (np.full((8, 4), 1e20, np.float32), 0.01),  # X^T X overflows f32
-    ], ids=["damping", "samples"])
-    def test_hessian_beyond_float32_rejected(self, x, damp_ratio):
-        with pytest.raises(NumericError, match="not finite in f32"):
-            hessian_from_samples([x], damp_ratio)
+        (seeded_random_matrix(8, 4, 5), 1e38),  # lambda beyond f32, finite in f64
+        (np.full((8, 4), 1e20, np.float32), 0.01),  # X^T X beyond f32, finite in f64
+        # products of ~1e-24 values (~1e-48) underflow f32 to 0, not f64
+        (seeded_random_matrix(16, 8, 4) * np.float32(1e-24), 0.01),
+    ], ids=["damping", "samples", "underflow"])
+    def test_hessian_beyond_float32_matches_f64_oracle(self, x, damp_ratio):
+        h = hessian_from_samples([x], damp_ratio)
+        x64 = x.astype(np.float64)
+        assert np.allclose(h, damped(2.0 * x64.T @ x64, damp_ratio), rtol=1e-12, atol=0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_damping_beyond_float64_rejected(self):
+        # mean(diag(H)) > 1, so 1e308 * mean(diag(H)) has no f64 value
+        with pytest.raises(NumericError, match=r"lambda = inf .*f64 cannot hold"):
+            hessian_from_samples([np.full((8, 4), 1.0, np.float32)], 1e308)
 
     def test_subtracting_damping_recovers_raw(self):
-        x = seeded_random_matrix(20, 5, 6)
-        acc = 2.0 * (x.T @ x)  # the f32 sum of one sample
-        raw = (acc + acc.T) / 2.0
+        x = seeded_random_matrix(20, 5, 6).astype(np.float64)
+        raw = 2.0 * (x.T @ x)  # the f64 product of one sample
         lam = 0.01 * float(np.mean(np.diag(raw)))
         out = hessian_from_samples([x], 0.01)
         delta = out - raw
         # damping touches the diagonal only; off-diagonals stay bit-exact,
-        # while (d + lam) - d on the diagonal carries f32 rounding at the
+        # while (d + lam) - d on the diagonal carries f64 rounding at the
         # magnitude of d, not lam
         assert not (delta - np.diag(np.diag(delta))).any()
-        atol = 4 * np.finfo(np.float32).eps * float(np.diag(raw).max())
+        atol = 4 * np.finfo(np.float64).eps * float(np.diag(raw).max())
         assert np.allclose(np.diag(delta), lam, rtol=0, atol=atol)
 
 

@@ -13,6 +13,7 @@ from modquant import (
     save_calibration,
     save_model,
     seeded_random_matrix,
+    unpack_weights,
     write_container,
 )
 from modquant import cli, kernel
@@ -301,8 +302,8 @@ def test_quantize_float16_scale_overflow_is_invariant_error(workspace, capsys, m
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("method", [[], ["--rtn"]], ids=["gptq", "rtn"])
 def test_quantize_damping_beyond_float32_is_numeric_error(tmp_path, capsys, method):
-    # lambda = 1e38 * mean(diag(H)) has no f32 value: the damped Hessian is
-    # rejected before the damping is cast, for RTN too, which never factorizes
+    # lambda = 1e308 * mean(diag(H)) has no f64 value: the damped Hessian is
+    # rejected for RTN too, which never factorizes
     paths = {name: str(tmp_path / f"{name}.bin") for name in ("model", "cv", "cm")}
     assert main(["gen-model", "--vision-layers", "1", "--crossmodal-layers", "1",
                  "--dim", "64", "--seed", "1", "--out", paths["model"]]) == 0
@@ -312,10 +313,10 @@ def test_quantize_damping_beyond_float32_is_numeric_error(tmp_path, capsys, meth
                      "--out", paths["cv" if module == "vision" else "cm"]]) == 0
     capsys.readouterr()
     rc = main(["quantize", "--model", paths["model"], "--calib-v", paths["cv"],
-               "--calib-m", paths["cm"], "--bits", "4", "--damp-ratio", "1e38", *method,
+               "--calib-m", paths["cm"], "--bits", "4", "--damp-ratio", "1e308", *method,
                "--out", str(tmp_path / "x.bin")])
     assert rc == 5
-    assert "damped Hessian is not finite in f32" in capsys.readouterr().err
+    assert "a damp_ratio that f64 cannot hold" in capsys.readouterr().err
     assert not (tmp_path / "x.bin").exists()
     assert not (tmp_path / "x.bin.report.json").exists()
 
@@ -323,6 +324,20 @@ def test_quantize_damping_beyond_float32_is_numeric_error(tmp_path, capsys, meth
 def test_pack_roundtrip_command(capsys):
     assert main(["pack-roundtrip", "--bits", "4", "--seed", "7"]) == 0
     assert "ok" in capsys.readouterr().out
+
+
+def test_pack_roundtrip_reports_failures(capsys, monkeypatch):
+    # an unpacker that corrupts one code fails each trial's weight check;
+    # the zero-point checks still pass
+    def corrupt(packed, bits):
+        q = unpack_weights(packed, bits)
+        q[0, 0] ^= 1
+        return q
+
+    monkeypatch.setattr(cli, "unpack_weights", corrupt)
+    assert main(["pack-roundtrip", "--bits", "4", "--trials", "3"]) == 5
+    captured = capsys.readouterr()
+    assert "pack round-trip FAILED 3 times" in captured.err and "ok" not in captured.out
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])

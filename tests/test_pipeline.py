@@ -11,7 +11,6 @@ from modquant import (
     CalibrationSet,
     FormatError,
     InvariantError,
-    NumericError,
     QuantConfig,
     SyntheticModel,
     TileConfig,
@@ -633,6 +632,10 @@ def test_load_model_rejects_weight_shapes(tmp_path, mutation):
          weight_scale=1.0)
 @example(layers=(1, 1), dim=64, bits=4, groupsize=32, symmetric=False, method="rtn",
          weight_scale=1e-6)
+@example(layers=(0, 2), dim=8, bits=4, groupsize=-1, symmetric=False, method="gptq",
+         weight_scale=1e-6)
+@example(layers=(1, 2), dim=16, bits=2, groupsize=8, symmetric=True, method="rtn",
+         weight_scale=1e-6)
 def test_quantize_save_load_and_matmul_agree(tmp_path_factory, layers, dim, bits,
                                              groupsize, symmetric, method, weight_scale):
     """quantize -> save -> load gives the same layer bytes and report, and
@@ -641,8 +644,7 @@ def test_quantize_save_load_and_matmul_agree(tmp_path_factory, layers, dim, bits
     dim that is not a multiple of f_int is the documented InvariantError.
     Weights scaled by 1e-6 have scales far below float16's normal range.
     With those, a second cross-modal layer reads calibration chained through
-    four 1e-6 matrices (~1e-24), whose f32 Hessian underflows to the
-    all-zero NumericError."""
+    four 1e-6 matrices (~1e-24), whose f64 Hessian is still nonzero."""
     model = generate_model(*layers, dim, seed=dim + bits)
     for w in model.weights.values():
         w *= np.float32(weight_scale)
@@ -653,10 +655,6 @@ def test_quantize_save_load_and_matmul_agree(tmp_path_factory, layers, dim, bits
     cfg = QuantConfig(bits=bits, groupsize=groupsize, symmetric=symmetric)
     if dim % (32 // bits):
         with pytest.raises(InvariantError, match="f_int"):
-            quantize_model(model, calib_v, calib_m, cfg, method)
-        return
-    if weight_scale < 1 and layers[1] > 1:
-        with pytest.raises(NumericError, match="all-zero Hessian"):
             quantize_model(model, calib_v, calib_m, cfg, method)
         return
     ckpt = quantize_model(model, calib_v, calib_m, cfg, method)

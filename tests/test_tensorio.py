@@ -229,12 +229,15 @@ def _entry(shape, offset=0, length=None, dtype="f32"):
         ({"x": _entry([True, 8], length=32)}, {}, bytes(32)),
         ({"x": _entry([2, 4], offset="0")}, {}, bytes(32)),
         ({"x": _entry([2, 4], length=32.5)}, {}, bytes(32)),
+        ({"x": _entry([2, 4], dtype="f64")}, {}, bytes(32)),
+        ({"x": _entry([2, 4], dtype=4)}, {}, bytes(32)),
     ],
     ids=["negative-dim-and-length", "negative-dims", "negative-offset",
          "tensors-not-a-map", "entry-not-a-map", "3-d", "0-d", "gap",
          "trailing-bytes", "overlap", "attrs-not-a-map", "dim-over-int64",
          "infinite-dim", "nested-too-deep", "shape-a-string", "float-dims",
-         "bool-dim", "offset-a-string", "float-length"],
+         "bool-dim", "offset-a-string", "float-length", "unknown-dtype",
+         "dtype-not-a-str"],
 )
 def test_bad_manifest_is_format_error(tmp_path, tensors, attrs, payload):
     path = tmp_path / "c.bin"
