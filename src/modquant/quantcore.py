@@ -99,39 +99,37 @@ def compute_group_params(W: np.ndarray, cfg: QuantConfig) -> tuple[np.ndarray, n
     """Fit per-(group, column) float16 scales and int32 zero points, returned
     as (scales, zeros).
 
-    Asymmetric: scale = (max - min) / maxq, zero = clamp(round(-min /
-    scale), 0, maxq), with the range widened to include 0 so a constant
-    column lands exactly on a grid point. Symmetric: scale = max|w| /
-    (2^(N-1) - 1), zero = 2^(N-1). The scale is computed in f64, floored
-    at SCALE_FLOOR and rounded up to the next float16, so maxq * scale
-    still spans the group (rounding to nearest could shrink it below the
-    range); the zero point is fitted to that stored scale. A scale above
-    SCALE_MAX (65504, float16's largest) is an InvariantError, raised
-    before any cast. W is a matrix that `check_matrix` has already accepted.
+    The loop over row groups only reduces: each group's column min and max,
+    stacked into (G, O) f64 arrays. The formulas then run once over the
+    whole grid. Asymmetric: scale = (max - min) / maxq, zero = clamp(round(
+    -min / scale), 0, maxq), with the range widened to include 0 so a
+    constant column lands exactly on a grid point. Symmetric: scale =
+    max(max, -min) / (2^(N-1) - 1), which is max|w|, and zero = 2^(N-1).
+    The scale is computed in f64, floored at SCALE_FLOOR and rounded up to
+    the next float16, so maxq * scale still spans the group (rounding to
+    nearest could shrink it below the range); the zero point is fitted to
+    that stored scale. A scale above SCALE_MAX (65504, float16's largest)
+    is an InvariantError naming the matrix's largest scale, raised by one
+    check before any cast. W is a matrix that `check_matrix` has already
+    accepted.
 
     SCALE_FLOOR is float16's smallest subnormal, 2^-24, below which a scale
     would flush to 0. Float16's smallest normal (~6.1e-5) would be too
     coarse a floor: every scale of ~1e-6 weights would sit on it, and a
     4-bit group would round to a single code, for a relative error of 1.
     """
-    n_rows, n_cols = W.shape
-    gs = rows_per_group(n_rows, cfg.groupsize)
-    n_groups = -(-n_rows // gs)
-
-    scales = np.empty((n_groups, n_cols), dtype=np.float16)
-    zeros = np.empty((n_groups, n_cols), dtype=np.int32)
-    for g in range(n_groups):
-        block = W[g * gs : min((g + 1) * gs, n_rows)]
-        if cfg.symmetric:
-            amax = np.abs(block).max(axis=0).astype(np.float64)
-            scales[g] = _float16_scales(amax / ((1 << (cfg.bits - 1)) - 1))
-            zeros[g] = 1 << (cfg.bits - 1)
-        else:
-            lo = np.minimum(block.min(axis=0).astype(np.float64), 0.0)
-            hi = np.maximum(block.max(axis=0).astype(np.float64), 0.0)
-            scales[g] = _float16_scales((hi - lo) / cfg.maxq)
-            zeros[g] = np.clip(np.round(-lo / scales[g]), 0, cfg.maxq)
-    return scales, zeros
+    gs = rows_per_group(W.shape[0], cfg.groupsize)
+    blocks = (W[r0 : r0 + gs] for r0 in range(0, W.shape[0], gs))
+    # A group's two reductions run back to back, while its rows are in cache.
+    lo, hi = np.stack([(b.min(axis=0), b.max(axis=0)) for b in blocks],
+                      axis=1).astype(np.float64)
+    if cfg.symmetric:
+        half = 1 << (cfg.bits - 1)
+        scales = _float16_scales(np.maximum(hi, -lo) / (half - 1))
+        return scales, np.full(scales.shape, half, dtype=np.int32)
+    lo = np.minimum(lo, 0.0)
+    scales = _float16_scales((np.maximum(hi, 0.0) - lo) / cfg.maxq)
+    return scales, np.clip(np.round(-lo / scales), 0, cfg.maxq).astype(np.int32)
 
 
 def _float16_scales(s: np.ndarray) -> np.ndarray:

@@ -50,17 +50,29 @@ _DTYPE_NAMES = {v: k for k, v in DTYPES.items()}
 def check_matrix(m) -> np.ndarray:
     """Validate an array-like as a row-major f32 matrix.
 
-    Raises InvariantError on a non-2-D shape, zero dimensions, or
-    non-finite values.
+    Raises InvariantError unless `m` is a 2-D array of real numbers (bool,
+    integer or float) with both dimensions >= 1 and every value finite and
+    within float32's range: a ragged, non-numeric or complex input fails,
+    and so does one that only overflows in the cast to float32.
     """
-    m = np.ascontiguousarray(np.asarray(m, dtype=np.float32))
-    if m.ndim != 2:
-        raise InvariantError(f"expected a 2-D matrix, got shape {m.shape}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
-        raise InvariantError(f"matrix dimensions must be >= 1, got {m.shape}")
-    if not np.all(np.isfinite(m)):
+    try:
+        a = np.asarray(m)
+    except (ValueError, TypeError) as exc:
+        raise InvariantError(f"expected a numeric matrix: {exc}") from exc
+    if a.dtype.kind not in "biuf":
+        raise InvariantError(f"expected a matrix of real numbers, got dtype {a.dtype}")
+    if a.ndim != 2:
+        raise InvariantError(f"expected a 2-D matrix, got shape {a.shape}")
+    if a.shape[0] < 1 or a.shape[1] < 1:
+        raise InvariantError(f"matrix dimensions must be >= 1, got {a.shape}")
+    try:
+        with np.errstate(over="raise"):
+            a = np.ascontiguousarray(a, dtype=np.float32)
+    except FloatingPointError as exc:
+        raise InvariantError("matrix holds a value beyond float32's range") from exc
+    if not np.all(np.isfinite(a)):
         raise InvariantError("matrix contains NaN or Inf")
-    return m
+    return a
 
 
 def _seeded_rng(seed: int) -> np.random.Generator:

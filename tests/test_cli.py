@@ -13,7 +13,6 @@ from modquant import (
     save_calibration,
     save_model,
     seeded_random_matrix,
-    unpack_weights,
     write_container,
 )
 from modquant import cli, kernel
@@ -326,18 +325,25 @@ def test_pack_roundtrip_command(capsys):
     assert "ok" in capsys.readouterr().out
 
 
-def test_pack_roundtrip_reports_failures(capsys, monkeypatch):
-    # an unpacker that corrupts one code fails each trial's weight check;
-    # the zero-point checks still pass
-    def corrupt(packed, bits):
-        q = unpack_weights(packed, bits)
-        q[0, 0] ^= 1
-        return q
+@pytest.mark.parametrize("corrupted,failures", [
+    (("unpack_weights",), 3),
+    (("unpack_zeros",), 3),
+    (("unpack_weights", "unpack_zeros"), 6),
+], ids=["weights", "zeros", "both"])
+def test_pack_roundtrip_reports_failures(capsys, monkeypatch, corrupted, failures):
+    # an unpacker that corrupts one code fails its check in each of the
+    # three trials; an unpacker left alone passes its checks
+    for name in corrupted:
+        def corrupt(*args, unpack=getattr(cli, name)):
+            q = unpack(*args)
+            q[0, 0] ^= 1
+            return q
 
-    monkeypatch.setattr(cli, "unpack_weights", corrupt)
+        monkeypatch.setattr(cli, name, corrupt)
     assert main(["pack-roundtrip", "--bits", "4", "--trials", "3"]) == 5
     captured = capsys.readouterr()
-    assert "pack round-trip FAILED 3 times" in captured.err and "ok" not in captured.out
+    assert f"pack round-trip FAILED {failures} times" in captured.err
+    assert "ok" not in captured.out
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])

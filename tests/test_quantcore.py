@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,12 @@ class TestGroupParams:
         assert compute_group_params(np.full((4, 1), 65504.0, np.float32), cfg)[0][0, 0] == 65504
         with pytest.raises(InvariantError, match="exceeds 65504"):
             compute_group_params(np.full((4, 1), 65505.0, np.float32), cfg)
+        # One check per matrix: it names the largest scale, not the first
+        # overflowing group's.
+        w = np.ones((8, 2), np.float32)
+        w[1, 0], w[5, 1] = 7e4, 9e4
+        with pytest.raises(InvariantError, match="group scale 90000 exceeds"):
+            compute_group_params(w, QuantConfig(bits=2, groupsize=4, symmetric=True))
 
     def test_group_count_and_g_idx(self):
         w = seeded_random_matrix(256, 4, 0)
@@ -493,3 +501,44 @@ def test_rows_per_group():
             rows_per_group(n_rows, groupsize)
     with pytest.raises(InvariantError):
         group_index(5, 0)
+
+
+# sha256 of round-to-nearest's packed bytes on seeded 240x72 weights: the four
+# tensors of pack_linear(rtn_quantize(W, cfg)), then the (scales, zeros) of
+# compute_group_params(W, cfg), each hashed with its dtype and shape. This path
+# makes no BLAS call, so the digests hold on any host. A change that moves
+# them is a reproducibility break, recorded in CHANGES.md with the new digests.
+RTN_DIGESTS = {
+    (4, 128, False, 1.0):
+        "e2cd829a3cafc2ca5bc4fc79155cc308cf4ff30833b9607a46b4fc39635fb8e8",
+    (4, 128, True, 1.0):
+        "189eca16056fe71f4107fc76a1ee9b708b696bbf8d2d4e396e28e28703ed290d",
+    (2, 48, False, 1.0):
+        "b1c6f93fbd27b84067ab7a3cdb0aac6cf52521318687bd2376b74429f335aab8",
+    (8, -1, False, 1.0):
+        "e42941b819f2ea54d9f6c64757420761cc8008098f34591a9a340c4ab3e4eb0f",
+    (4, 12, False, 1.0):
+        "9d21baabc86d534081fe7c6d2a991b40e405b9d481dafc8b140c81dba96294e0",
+    (2, 40, True, 1.0):
+        "57245e2008aa66eb5f3b6c7f7f6de8fe06579bd56ebf1bfe0e4db3efdff5553c",
+    (4, 128, False, 1e-6):
+        "6397552bfe459e8e80242d426d5936a1b699285cdfc16dcfae88d008e8e156f5",
+}
+
+
+def rtn_digest(bits, groupsize, symmetric, factor):
+    W = seeded_random_matrix(240, 72, 2029) * np.float32(factor)
+    cfg = QuantConfig(bits=bits, groupsize=groupsize, symmetric=symmetric)
+    layer = pack_linear(rtn_quantize(W, cfg))
+    digest = hashlib.sha256()
+    for t in (layer.qweight, layer.scales, layer.qzeros, layer.g_idx,
+              *compute_group_params(W, cfg)):
+        digest.update(f"{t.dtype.str}{t.shape}".encode())
+        digest.update(t.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", RTN_DIGESTS, ids=lambda c: "{}bit-g{}-{}-x{:g}".format(
+    c[0], c[1], "sym" if c[2] else "asym", c[3]))
+def test_rtn_packed_bytes_are_pinned(case):
+    assert rtn_digest(*case) == RTN_DIGESTS[case]

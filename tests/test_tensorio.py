@@ -9,11 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modquant import (
+    CalibrationSet,
     FormatError,
     InvariantError,
+    QuantConfig,
+    TileConfig,
     generate_model,
+    hessian_from_samples,
     load_container,
     load_model,
+    pack_linear,
+    quant_matmul,
+    rtn_quantize,
     save_model,
     seeded_random_matrix,
     synthetic_activations,
@@ -298,6 +305,39 @@ class TestDenseMatrix:
     def test_rejects_wrong_rank(self):
         with pytest.raises(InvariantError):
             check_matrix(np.zeros(3))
+
+
+# Inputs that no numpy cast warning or error may reach a caller for: each is
+# an InvariantError from check_matrix, whatever entry point it comes in by.
+BAD_MATRICES = {
+    "beyond float32": ([[1e300, 1.0]], "beyond float32's range"),
+    "beyond float32 array": (np.array([[1.0, -1e39]]), "beyond float32's range"),
+    "complex": ([[1 + 2j, 3]], "real numbers, got dtype complex128"),
+    "complex array": (np.array([[1 + 0j, 3]]), "real numbers, got dtype complex128"),
+    "ragged": ([[1.0, 2.0], [3.0]], "expected a numeric matrix"),
+    "strings": ([["a", "b"]], "real numbers"),
+    "numeric strings": ([["1.5"]], "real numbers"),
+    "None": ([[None, 1.0]], "real numbers, got dtype object"),
+    "objects": ([[object()]], "real numbers, got dtype object"),
+    "scalar": (3.0, r"2-D matrix, got shape \(\)$"),
+}
+_LAYER = pack_linear(rtn_quantize(seeded_random_matrix(8, 4, 0), QuantConfig(bits=8)))
+MATRIX_ENTRY_POINTS = {
+    "check_matrix": check_matrix,
+    "rtn_quantize": lambda m: rtn_quantize(m, QuantConfig()),
+    "hessian_from_samples": lambda m: hessian_from_samples([m], 0.01),
+    "CalibrationSet": lambda m: CalibrationSet("vision", [seeded_random_matrix(1, 2, 0), m]),
+    "quant_matmul": lambda m: quant_matmul(m, _LAYER, TileConfig(16, 16, 16)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", MATRIX_ENTRY_POINTS)
+@pytest.mark.parametrize("bad", BAD_MATRICES)
+def test_malformed_matrices_are_invariant_errors(bad, entry):
+    m, message = BAD_MATRICES[bad]
+    with pytest.raises(InvariantError, match=message):
+        MATRIX_ENTRY_POINTS[entry](m)
 
 
 class TestSeededRandomMatrix:
