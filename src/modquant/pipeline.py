@@ -91,6 +91,8 @@ def quantize_model(
             "calibration sets must come from the vision and crossmodal modules, "
             f"got {calib_v.module_id!r} and {calib_m.module_id!r}"
         )
+    sizes = size_report([(n, *model.weights[n].shape) for n in model.matrix_names()],
+                        cfg.bits, cfg.groupsize)["per_layer"]
     layers: dict[str, PackedLinear] = {}
     entries = []
     for module, layer_idx, members, samples in model.hessian_blocks(calib_v.samples,
@@ -108,14 +110,11 @@ def quantize_model(
                 "module": module,
                 "layer_index": layer_idx,
                 "group": group,
-                "order_index": len(entries),
                 "in_features": int(weight.shape[0]),
                 "out_features": int(weight.shape[1]),
                 "proxy_loss": proxy_loss(weight, q, hessian),
                 "calib_sha256": calib_hash,
-                "bytes": estimate_packed_size(
-                    weight.shape[0], weight.shape[1], cfg.bits, cfg.groupsize
-                ),
+                "bytes": sizes[name],
             })
 
     report = {
@@ -123,7 +122,6 @@ def quantize_model(
         "method": method,
         "bits": cfg.bits,
         "groupsize": cfg.groupsize,
-        "symmetric": cfg.symmetric,
         "damp_ratio": cfg.damp_ratio,
         "hessian_sharing": model.hessian_sharing,
         "processing_order": [e["name"] for e in entries],
@@ -155,15 +153,21 @@ def size_report(
 ) -> dict:
     """Analytic storage of (name, in_features, out_features) matrices packed
     at (bits, groupsize), plus `misc_params` unquantized f16 parameters, with
-    the ratio against an all-f16 model. No matrices, a name listed twice, and
-    a `misc_params` that `SyntheticModel` rejects, is an InvariantError."""
+    the ratio against an all-f16 model. Bits and groupsize that `QuantConfig`
+    rejects, no matrices, a name listed twice, a shape that cannot be packed
+    (named in the message) and a `misc_params` that `SyntheticModel` rejects
+    are InvariantErrors."""
+    QuantConfig(bits, groupsize)
     if not shapes:
         raise InvariantError("model has no weight matrices")
     per_layer = {}
     for name, n_in, n_out in shapes:
         if name in per_layer:
             raise InvariantError(f"matrix {name!r} is listed twice")
-        per_layer[name] = estimate_packed_size(n_in, n_out, bits, groupsize)
+        try:
+            per_layer[name] = estimate_packed_size(n_in, n_out, bits, groupsize)
+        except InvariantError as exc:
+            raise InvariantError(f"matrix {name!r}: {exc}") from exc
     quant_total = sum(b["total"] for b in per_layer.values())
     weight_f16 = sum(n_in * n_out * 2 for _, n_in, n_out in shapes)
     misc_bytes = check_misc_params({"misc_params": misc_params}) * 2

@@ -40,19 +40,18 @@ def lanes_per_word(bits: int) -> int:
 @dataclass(frozen=True)
 class QuantConfig:
     """Building one checks every field by `typed_attr`: `bits` an int in
-    SUPPORTED_BITS, `groupsize` an int, -1 or >= 1, `symmetric` a bool, and
-    `damp_ratio` a float or int (not a bool), finite and > 0."""
+    SUPPORTED_BITS, `groupsize` an int, -1 or >= 1, and `damp_ratio` a float
+    or int (not a bool), finite and > 0. Every grid is the asymmetric one
+    that `compute_group_params` fits."""
 
     bits: int = 4
     groupsize: int = -1
-    symmetric: bool = False
     damp_ratio: float = 0.01
 
     def __post_init__(self):
         fields = vars(self)
         lanes_per_word(typed_attr(fields, "bits", int))
         rows_per_group(1, typed_attr(fields, "groupsize", int))
-        typed_attr(fields, "symmetric", bool)
         damp = typed_attr(fields, "damp_ratio", (float, int))
         if not math.isfinite(damp) or damp <= 0:
             raise InvariantError(f"damp_ratio must be finite and > 0, got {damp}")
@@ -101,10 +100,10 @@ def compute_group_params(W: np.ndarray, cfg: QuantConfig) -> tuple[np.ndarray, n
 
     The loop over row groups only reduces: each group's column min and max,
     stacked into (G, O) f64 arrays. The formulas then run once over the
-    whole grid. Asymmetric: scale = (max - min) / maxq, zero = clamp(round(
-    -min / scale), 0, maxq), with the range widened to include 0 so a
-    constant column lands exactly on a grid point. Symmetric: scale =
-    max(max, -min) / (2^(N-1) - 1), which is max|w|, and zero = 2^(N-1).
+    whole grid: scale = (max - min) / maxq and zero = clamp(round(-min /
+    scale), 0, maxq), with the range widened to include 0 so a constant
+    column lands exactly on a grid point. The checkpoint stores every zero
+    point, so fixing it (at 2^(N-1)) would save no bytes and fit worse.
     The scale is computed in f64, floored at SCALE_FLOOR and rounded up to
     the next float16, so maxq * scale still spans the group (rounding to
     nearest could shrink it below the range); the zero point is fitted to
@@ -123,10 +122,6 @@ def compute_group_params(W: np.ndarray, cfg: QuantConfig) -> tuple[np.ndarray, n
     # A group's two reductions run back to back, while its rows are in cache.
     lo, hi = np.stack([(b.min(axis=0), b.max(axis=0)) for b in blocks],
                       axis=1).astype(np.float64)
-    if cfg.symmetric:
-        half = 1 << (cfg.bits - 1)
-        scales = _float16_scales(np.maximum(hi, -lo) / (half - 1))
-        return scales, np.full(scales.shape, half, dtype=np.int32)
     lo = np.minimum(lo, 0.0)
     scales = _float16_scales((np.maximum(hi, 0.0) - lo) / cfg.maxq)
     return scales, np.clip(np.round(-lo / scales), 0, cfg.maxq).astype(np.int32)

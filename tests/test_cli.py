@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -209,6 +210,29 @@ def test_quantize_rejects_bits_3(workspace):
                "--calib-m", str(workspace / "cm.bin"),
                "--bits", "3", "--out", str(workspace / "x.bin")])
     assert rc == 4
+
+
+@pytest.mark.parametrize("layers,dim,message", [
+    (("1", "1"), "12", "matrix 'vision.0.proj': layer shape (12, 12) must be positive, "
+                       "with in_features a multiple of f_int = 8"),
+    (("0", "0"), "8", "model has no weight matrices"),
+], ids=["dim 12", "no matrices"])
+def test_quantize_model_that_cannot_be_packed_is_exit_4(tmp_path, capsys, layers, dim,
+                                                         message):
+    # Checked before any Hessian is built, as `size` checks it; no file is written.
+    model, cv, cm, out = (str(tmp_path / f) for f in ("m.bin", "cv.bin", "cm.bin", "x.bin"))
+    assert main(["gen-model", "--vision-layers", layers[0], "--crossmodal-layers",
+                 layers[1], "--dim", dim, "--out", model]) == 0
+    for module, path, seed in (("vision", cv, "2"), ("crossmodal", cm, "3")):
+        assert main(["gen-calib", "--module", module, "--dim", dim, "--seed", seed,
+                     "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["quantize", "--model", model, "--calib-v", cv, "--calib-m", cm,
+                 "--bits", "4", "--out", out]) == 4
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+    assert main(["size", "--model", model, "--bits", "4"]) == 4
+    assert message in capsys.readouterr().err
 
 
 def test_quantize_report_path_is_not_an_option(workspace):

@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import re
 
 import numpy as np
@@ -211,14 +210,12 @@ class TestPackLinear:
             pack_linear(q)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("symmetric", [False, True])
-    def test_float16_scale_overflow_rejected(self, symmetric):
+    def test_float16_scale_overflow_rejected(self):
         # scales of ~6e5 (a 4-bit group range of ~9.4e6) have no float16
         # value: rejected when they are fitted, before any cast can warn
         w = generate_model(1, 0, 64, 1).weights["vision.0.proj"] * np.float32(1e7)
-        cfg = QuantConfig(bits=4, groupsize=32, symmetric=symmetric)
         with pytest.raises(InvariantError, match="exceeds 65504, float16's largest"):
-            rtn_quantize(w, cfg)
+            rtn_quantize(w, QuantConfig(bits=4, groupsize=32))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_scale_rejected(self, bad):
@@ -231,16 +228,15 @@ class TestPackLinear:
 
 @pytest.mark.parametrize("weight_scale", [1.0, 1e-6])
 @pytest.mark.parametrize("method", ["rtn", "gptq"])
-@pytest.mark.parametrize("symmetric", [False, True])
 @pytest.mark.parametrize("groupsize", [-1, 16, 32])
 @pytest.mark.parametrize("bits", [2, 4, 8])
-def test_packed_layer_dequantizes_to_the_quantized_bytes(bits, groupsize, symmetric,
-                                                         method, weight_scale):
+def test_packed_layer_dequantizes_to_the_quantized_bytes(bits, groupsize, method,
+                                                         weight_scale):
     # One set of scales: the checkpoint stores exactly the float16 scales
     # that quantization fitted and rounded against, so the stored layer is
     # the quantized matrix byte for byte, tiny weights included.
     w = seeded_random_matrix(64, 24, bits * 100 + groupsize) * np.float32(weight_scale)
-    cfg = QuantConfig(bits=bits, groupsize=groupsize, symmetric=symmetric)
+    cfg = QuantConfig(bits=bits, groupsize=groupsize)
     if method == "rtn":
         q = rtn_quantize(w, cfg)
     else:
@@ -293,44 +289,6 @@ def test_packed_linear_checks_its_layout(mutation):
 def test_packed_linear_fields_cannot_be_rebound():
     with pytest.raises(dataclasses.FrozenInstanceError):
         _g16_layer().in_features = 60
-
-
-# sha256 over qweight, scales, qzeros and g_idx (in that order) of
-# pack_linear(rtn_quantize(seeded_random_matrix(160, 24, 2024), cfg)), keyed by
-# (bits, groupsize, symmetric). Groupsize 48 leaves a short last group and 24
-# columns leave padding lanes in the 2-bit qzeros. Round-to-nearest and packing
-# are elementwise, with no BLAS, so these bytes are the same on every platform;
-# a changed digest means a fixed seed no longer gives the same checkpoint.
-RTN_GOLDEN_DIGESTS = {
-    (2, -1, False): "554629f5bfa9ce9c3611ae66d6eb6c592b10defe28c65d1f28dd6b0f02ffef0e",
-    (2, -1, True): "c4938a3eca34e1968a7507ebda51aa7f3a2582c2d26c8e04e42281b2aea3c9c0",
-    (2, 1, False): "22fc714f4634d1fb472e9403bd3e0b7d6f13d4751a6f8ec976e0e1e9609fa164",
-    (2, 1, True): "fcb30d341a03eaaa0e9a11b19330682e1757b5e0e72f286b9539e6fc0f8a32c4",
-    (2, 48, False): "9f8688a48db26e33158933d2befc98e924e10a0a8e24eb4d58d5529d92fa75e6",
-    (2, 48, True): "d61a1583e32802186870e302603c22ff5fef7f77b669b312e49518551ccfd942",
-    (4, -1, False): "48b4593255d7c3cf3d78b7ad7b03d991ea3423c60749c22c390b4cc9dc6117c7",
-    (4, -1, True): "541b2be553d85e21abe4338bfc76b65a38543c20ee5743f24f61c628d449012a",
-    (4, 1, False): "42ba6ad508fe2e64bd6dc79426c5d53477419ed1b69ea163a3c35407c599e026",
-    (4, 1, True): "1834047cafaad18303aaca2d6267fc4d27ced5e2d82c87c8de5b50281185fd38",
-    (4, 48, False): "d4070aaf13fcdd22a96dd90777c04dfe5467c871a1748a2f56af3dcd8777eea3",
-    (4, 48, True): "209a44d3d566debb72cf94f11ca96ec4e194e726eeba7f3983bbb1b6dad7361d",
-    (8, -1, False): "15ac9168ede3438b7c649b743c99441a1b3238f2ef5bcc836923310c90a13a86",
-    (8, -1, True): "9759e2bb218b3b7f5b3732f4b86216f1fac1723eee678b45273d30d59b5b73a0",
-    (8, 1, False): "cdf1e51fb89d04e49cd14c1f31d32427c43f0bec7b1794e967b3f6124d5333cc",
-    (8, 1, True): "93183f910afc5404b3df2e6101d985fc56a0d8b15a0de16555f52d9d8421e063",
-    (8, 48, False): "f6331e20ae3dfa6c63d04f4a6deda2831fa1dc984c806176ad4ea2d857177cc9",
-    (8, 48, True): "59bdafe08a2a8c0e8c9545fa561e600c87278e162391da8c7ada4e8290cf36de",
-}
-
-
-@pytest.mark.parametrize("bits,groupsize,symmetric", sorted(RTN_GOLDEN_DIGESTS))
-def test_rtn_packed_bytes_golden(bits, groupsize, symmetric):
-    cfg = QuantConfig(bits=bits, groupsize=groupsize, symmetric=symmetric)
-    layer = pack_linear(rtn_quantize(seeded_random_matrix(160, 24, 2024), cfg))
-    h = hashlib.sha256()
-    for t in (layer.qweight, layer.scales, layer.qzeros, layer.g_idx):
-        h.update(np.ascontiguousarray(t).tobytes())
-    assert h.hexdigest() == RTN_GOLDEN_DIGESTS[bits, groupsize, symmetric]
 
 
 class TestLayoutAgreement:

@@ -89,6 +89,12 @@ class TestQuantConfig:
         with pytest.raises(InvariantError, match="damp_ratio"):
             QuantConfig(damp_ratio=damp)
 
+    @pytest.mark.parametrize("third", [True, False])
+    def test_third_positional_is_damp_ratio(self, third):
+        assert QuantConfig(4, 128, 0.05).damp_ratio == 0.05
+        with pytest.raises(InvariantError, match="damp_ratio"):
+            QuantConfig(4, 128, third)
+
 
 class TestGroupParams:
     def test_exact_grid_fit(self):
@@ -122,17 +128,19 @@ class TestGroupParams:
 
     @pytest.mark.filterwarnings("error")
     def test_scale_max_is_float16s_largest(self):
-        # 2-bit symmetric: scale = max |w| / 1, so the column is the scale
-        cfg = QuantConfig(bits=2, groupsize=-1, symmetric=True)
-        assert compute_group_params(np.full((4, 1), 65504.0, np.float32), cfg)[0][0, 0] == 65504
+        # 2-bit: scale = (max - min) / 3, so a column spanning [0, 3 * 65504]
+        # has the largest float16 scale, and one 3 units wider has none.
+        cfg = QuantConfig(bits=2, groupsize=-1)
+        assert compute_group_params(np.array([[0.0], [196512.0]], np.float32),
+                                    cfg)[0][0, 0] == 65504
         with pytest.raises(InvariantError, match="exceeds 65504"):
-            compute_group_params(np.full((4, 1), 65505.0, np.float32), cfg)
+            compute_group_params(np.array([[0.0], [196515.0]], np.float32), cfg)
         # One check per matrix: it names the largest scale, not the first
         # overflowing group's.
         w = np.ones((8, 2), np.float32)
-        w[1, 0], w[5, 1] = 7e4, 9e4
+        w[1, 0], w[5, 1] = 2.1e5, 2.7e5
         with pytest.raises(InvariantError, match="group scale 90000 exceeds"):
-            compute_group_params(w, QuantConfig(bits=2, groupsize=4, symmetric=True))
+            compute_group_params(w, QuantConfig(bits=2, groupsize=4))
 
     def test_group_count_and_g_idx(self):
         w = seeded_random_matrix(256, 4, 0)
@@ -148,11 +156,9 @@ class TestGroupParams:
 
     def test_scales_positive_zeros_in_range(self):
         w = seeded_random_matrix(64, 32, 2)
-        for sym in (False, True):
-            cfg = QuantConfig(bits=4, groupsize=16, symmetric=sym)
-            scales, zeros = compute_group_params(w, cfg)
-            assert (scales > 0).all()
-            assert (zeros >= 0).all() and (zeros <= 15).all()
+        scales, zeros = compute_group_params(w, QuantConfig(bits=4, groupsize=16))
+        assert (scales > 0).all()
+        assert (zeros >= 0).all() and (zeros <= 15).all()
 
     def test_group_locality(self):
         cfg = QuantConfig(bits=4, groupsize=8)
@@ -205,13 +211,11 @@ class TestRtn:
         assert np.array_equal(q.qint, redo.qint)
 
 
-@pytest.mark.parametrize("symmetric", [False, True])
-def test_rtn_rounds_half_to_even(symmetric):
-    # Scale 1 on both grids (range 0..15, or max |w| = 7), so every
-    # half-integer is a tie: round-half-even, as the oracle does.
-    lo, hi = (-7, 7) if symmetric else (0, 15)
-    w = np.concatenate([[lo, hi], np.arange(lo, hi) + 0.5]).astype(np.float32)[:, None]
-    q = rtn_quantize(w, QuantConfig(bits=4, symmetric=symmetric))
+def test_rtn_rounds_half_to_even():
+    # Scale 1 (range 0..15), so every half-integer is a tie: round-half-even,
+    # as the oracle does.
+    w = np.concatenate([[0, 15], np.arange(15) + 0.5]).astype(np.float32)[:, None]
+    q = rtn_quantize(w, QuantConfig(bits=4))
     assert q.scales[0, 0] == 1.0
     assert np.array_equal(q.qint, round_to_grid(w, q.scales, q.zeros, 4, -1).qint)
     assert np.array_equal(q.qint[2:, 0] - q.zeros[0, 0],
@@ -220,8 +224,8 @@ def test_rtn_rounds_half_to_even(symmetric):
 
 # Column generators for the round-to-nearest oracle test. "below floor" spans
 # less than SCALE_FLOOR * maxq for every bit width, so its scale is floored.
-# "huge" stays within |w| <= 6e4, so even a 2-bit symmetric scale (max |w|)
-# is at most float16's largest value, 65504.
+# "huge" stays within |w| <= 6e4, so even a 2-bit scale (a range of at most
+# 1.2e5, over 3) is below float16's largest value, 65504.
 RTN_COLUMNS = {
     "normal": lambda rng, n: rng.standard_normal(n),
     "zero": lambda rng, n: np.zeros(n),
@@ -233,9 +237,9 @@ RTN_COLUMNS = {
 
 @st.composite
 def rtn_cases(draw):
-    """(W, cfg) over every bit width and both grids, with groupsize -1, 1, a
-    divisor of the row count, or one that leaves a short last group."""
-    cfg = dict(bits=draw(st.sampled_from([2, 4, 8])), symmetric=draw(st.booleans()))
+    """(W, cfg) over every bit width, with groupsize -1, 1, a divisor of the
+    row count, or one that leaves a short last group."""
+    bits = draw(st.sampled_from([2, 4, 8]))
     kind = draw(st.sampled_from(["one group", "1", "divisor", "short last group"]))
     if kind in ("one group", "1"):
         rows = draw(st.integers(1, 40))
@@ -247,7 +251,7 @@ def rtn_cases(draw):
     kinds = draw(st.lists(st.sampled_from(sorted(RTN_COLUMNS)), min_size=1, max_size=8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     W = np.stack([RTN_COLUMNS[k](rng, rows) for k in kinds], axis=1).astype(np.float32)
-    return W, QuantConfig(groupsize=gs, **cfg)
+    return W, QuantConfig(bits=bits, groupsize=gs)
 
 
 @settings(max_examples=300, deadline=None)
@@ -345,16 +349,15 @@ class TestGptq:
     def test_blocked_sweep_matches_row_loop(self, rows, bits, gs):
         # Row counts, not all multiples of the 128-row block or the 16-row
         # sub-block, so residuals cross both boundaries through the GEMM
-        # updates and the last block and sub-block are often short. Both
-        # zero-point schemes pin the snap's clip to [-z, maxq - z].
+        # updates and the last block and sub-block are often short. The
+        # residuals push rows past their group's range, which pins the snap's
+        # clip to [-z, maxq - z].
         seed = rows * 10 + bits
         w = seeded_random_matrix(rows, 24, seed)
         h = spd_hessian(rows, 50_000 + seed, rows=2 * rows)
-        for symmetric in (False, True):
-            cfg = QuantConfig(bits=bits, groupsize=gs, symmetric=symmetric)
-            q = gptq_quantize(w, cfg, factor=inverse_hessian_factor(h))
-            ref = row_loop_gptq(w, h, cfg)
-            assert q.qint.tobytes() == ref.qint.tobytes(), f"symmetric={symmetric}"
+        cfg = QuantConfig(bits=bits, groupsize=gs)
+        q = gptq_quantize(w, cfg, factor=inverse_hessian_factor(h))
+        assert q.qint.tobytes() == row_loop_gptq(w, h, cfg).qint.tobytes()
 
     @pytest.mark.parametrize("dim", [1, 7, 63, 64, 65, 128, 129, 200, 768])
     def test_inverse_hessian_factor(self, dim):
@@ -503,32 +506,50 @@ def test_rows_per_group():
         group_index(5, 0)
 
 
-# sha256 of round-to-nearest's packed bytes on seeded 240x72 weights: the four
+# sha256 of round-to-nearest's packed bytes on seeded weights: the four
 # tensors of pack_linear(rtn_quantize(W, cfg)), then the (scales, zeros) of
-# compute_group_params(W, cfg), each hashed with its dtype and shape. This path
-# makes no BLAS call, so the digests hold on any host. A change that moves
-# them is a reproducibility break, recorded in CHANGES.md with the new digests.
+# compute_group_params(W, cfg), each hashed with its dtype and shape. Keyed by
+# (rows, cols, seed, factor, bits, groupsize), with W the seeded rows x cols
+# matrix times factor. The 160 x 24 cases cover groupsize -1, 1 and 48 (a
+# short last group) at every bit width, with padding lanes in the 2-bit
+# qzeros. This path makes no BLAS call, so the digests hold on any host. A
+# change that moves them is a reproducibility break, recorded in CHANGES.md
+# with the new digests.
 RTN_DIGESTS = {
-    (4, 128, False, 1.0):
+    (240, 72, 2029, 1.0, 4, 128):
         "e2cd829a3cafc2ca5bc4fc79155cc308cf4ff30833b9607a46b4fc39635fb8e8",
-    (4, 128, True, 1.0):
-        "189eca16056fe71f4107fc76a1ee9b708b696bbf8d2d4e396e28e28703ed290d",
-    (2, 48, False, 1.0):
+    (240, 72, 2029, 1.0, 2, 48):
         "b1c6f93fbd27b84067ab7a3cdb0aac6cf52521318687bd2376b74429f335aab8",
-    (8, -1, False, 1.0):
+    (240, 72, 2029, 1.0, 8, -1):
         "e42941b819f2ea54d9f6c64757420761cc8008098f34591a9a340c4ab3e4eb0f",
-    (4, 12, False, 1.0):
+    (240, 72, 2029, 1.0, 4, 12):
         "9d21baabc86d534081fe7c6d2a991b40e405b9d481dafc8b140c81dba96294e0",
-    (2, 40, True, 1.0):
-        "57245e2008aa66eb5f3b6c7f7f6de8fe06579bd56ebf1bfe0e4db3efdff5553c",
-    (4, 128, False, 1e-6):
+    (240, 72, 2029, 1e-06, 4, 128):
         "6397552bfe459e8e80242d426d5936a1b699285cdfc16dcfae88d008e8e156f5",
+    (160, 24, 2024, 1.0, 2, -1):
+        "fb16b7649181b61a2d46ae75412097629080e5ef3663ded1764693d7777b801c",
+    (160, 24, 2024, 1.0, 2, 1):
+        "bf17dcd2c68e02c8e318936c8152f322bd20fb9205d2194fbd6d86c254e3d559",
+    (160, 24, 2024, 1.0, 2, 48):
+        "273d5ddea668ddf2dd3b37b70bfd4b3ed6fd27cbd103b6607c2cff294701808e",
+    (160, 24, 2024, 1.0, 4, -1):
+        "181080a6589ae20067e2fb32579f95956ec0df4ddd3ed6ea0d3b958c7ab68258",
+    (160, 24, 2024, 1.0, 4, 1):
+        "d71e3c455969dabdd42ff4beb553d41be9e48b7f0437fa7b2cb654d7fe904c1c",
+    (160, 24, 2024, 1.0, 4, 48):
+        "f2249bd2ca02fe173ff15ffeb528fa0e46ad1301a83c0481740993fb5588fa16",
+    (160, 24, 2024, 1.0, 8, -1):
+        "254a90b011304c151143111218b387e773326fb1a771ab52dd181c0995f5f2a7",
+    (160, 24, 2024, 1.0, 8, 1):
+        "0c47ab5a28e24e1ea3e053c061155fe6f0e07828c013a5fe2832a140470aac14",
+    (160, 24, 2024, 1.0, 8, 48):
+        "838d648668403336820f9212a3ca71c16f6da107e1dd1bfbeb8dbd27c33cda27",
 }
 
 
-def rtn_digest(bits, groupsize, symmetric, factor):
-    W = seeded_random_matrix(240, 72, 2029) * np.float32(factor)
-    cfg = QuantConfig(bits=bits, groupsize=groupsize, symmetric=symmetric)
+def rtn_digest(rows, cols, seed, factor, bits, groupsize):
+    W = seeded_random_matrix(rows, cols, seed) * np.float32(factor)
+    cfg = QuantConfig(bits=bits, groupsize=groupsize)
     layer = pack_linear(rtn_quantize(W, cfg))
     digest = hashlib.sha256()
     for t in (layer.qweight, layer.scales, layer.qzeros, layer.g_idx,
@@ -538,7 +559,7 @@ def rtn_digest(bits, groupsize, symmetric, factor):
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("case", RTN_DIGESTS, ids=lambda c: "{}bit-g{}-{}-x{:g}".format(
-    c[0], c[1], "sym" if c[2] else "asym", c[3]))
+@pytest.mark.parametrize("case", RTN_DIGESTS,
+                         ids=lambda c: "{}x{}-seed{}-x{:g}-{}bit-g{}".format(*c))
 def test_rtn_packed_bytes_are_pinned(case):
     assert rtn_digest(*case) == RTN_DIGESTS[case]
