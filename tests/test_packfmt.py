@@ -228,7 +228,9 @@ class TestPackLinear:
 
 @pytest.mark.parametrize("weight_scale", [1.0, 1e-6])
 @pytest.mark.parametrize("method", ["rtn", "gptq"])
-@pytest.mark.parametrize("groupsize", [-1, 16, 32])
+# The "-False" in each id is the grid flag these cases carried when the
+# grid was a parameter; it keeps every case under one name across versions.
+@pytest.mark.parametrize("groupsize", [-1, 16, 32], ids=lambda g: f"{g}-False")
 @pytest.mark.parametrize("bits", [2, 4, 8])
 def test_packed_layer_dequantizes_to_the_quantized_bytes(bits, groupsize, method,
                                                          weight_scale):
