@@ -194,12 +194,14 @@ def generate_model(
     seed: int,
     misc_params: int = 0,
 ) -> SyntheticModel:
-    """Random synthetic model with square dim x dim weights.
+    """Random synthetic model with square dim x dim weights and at least
+    one layer.
 
     Weights are scaled by 1/sqrt(dim) so activations stay O(1) through
     arbitrarily deep stacks.
     """
-    if dim < 1 or vision_layers < 0 or crossmodal_layers < 0:
+    if (dim < 1 or vision_layers < 0 or crossmodal_layers < 0
+            or vision_layers + crossmodal_layers == 0):
         raise InvariantError("bad model geometry")
     rng = _seeded_rng(seed)
     scale = 1.0 / np.sqrt(dim)

@@ -6,6 +6,7 @@ import pytest
 
 from modquant import (
     CalibrationSet,
+    SyntheticModel,
     TileConfig,
     generate_model,
     load_calibration,
@@ -19,6 +20,7 @@ from modquant import (
 from modquant import cli, kernel
 from modquant.cli import main
 from modquant.kernel import tile_plan
+from modquant.quantcore import SUPPORTED_BITS
 
 FOUR_QUESTION_FIXTURE = [
     {"question_id": 1, "passes": [["A", "A"]]},
@@ -212,17 +214,18 @@ def test_quantize_rejects_bits_3(workspace):
     assert rc == 4
 
 
-@pytest.mark.parametrize("layers,dim,message", [
-    (("1", "1"), "12", "matrix 'vision.0.proj': layer shape (12, 12) must be positive, "
-                       "with in_features a multiple of f_int = 8"),
-    (("0", "0"), "8", "model has no weight matrices"),
+@pytest.mark.parametrize("synthetic,dim,message", [
+    (generate_model(1, 1, 12, seed=0), "12",
+     "matrix 'vision.0.proj': layer shape (12, 12) must be positive, "
+     "with in_features a multiple of f_int = 8"),
+    # the file that `gen-model` wrote for no layers before it refused them
+    (SyntheticModel([], [], {}, (8, 8)), "8", "model has no weight matrices"),
 ], ids=["dim 12", "no matrices"])
-def test_quantize_model_that_cannot_be_packed_is_exit_4(tmp_path, capsys, layers, dim,
+def test_quantize_model_that_cannot_be_packed_is_exit_4(tmp_path, capsys, synthetic, dim,
                                                          message):
     # Checked before any Hessian is built, as `size` checks it; no file is written.
     model, cv, cm, out = (str(tmp_path / f) for f in ("m.bin", "cv.bin", "cm.bin", "x.bin"))
-    assert main(["gen-model", "--vision-layers", layers[0], "--crossmodal-layers",
-                 layers[1], "--dim", dim, "--out", model]) == 0
+    save_model(synthetic, model)
     for module, path, seed in (("vision", cv, "2"), ("crossmodal", cm, "3")):
         assert main(["gen-calib", "--module", module, "--dim", dim, "--seed", seed,
                      "--out", path]) == 0
@@ -344,8 +347,9 @@ def test_quantize_damping_beyond_float32_is_numeric_error(tmp_path, capsys, meth
     assert not (tmp_path / "x.bin.report.json").exists()
 
 
-def test_pack_roundtrip_command(capsys):
-    assert main(["pack-roundtrip", "--bits", "4", "--seed", "7"]) == 0
+@pytest.mark.parametrize("bits", SUPPORTED_BITS)
+def test_pack_roundtrip_command(capsys, bits):
+    assert main(["pack-roundtrip", "--bits", str(bits), "--seed", "7"]) == 0
     assert "ok" in capsys.readouterr().out
 
 
@@ -377,14 +381,16 @@ def test_pack_roundtrip_rejects_trials_below_one(capsys, trials):
     assert "trials" in captured.err and "ok" not in captured.out
 
 
-def test_bench_with_trace(workspace, capsys):
+@pytest.mark.parametrize("bits", SUPPORTED_BITS)
+def test_bench_with_trace(workspace, capsys, bits):
+    # block_k 16 and 32 hold whole 32-bit words at every supported width
     cfgs = workspace / "cfgs.json"
     cfgs.write_text(json.dumps([
-        {"block_m": 8, "block_d": 8, "block_k": 8},
-        {"block_m": 16, "block_d": 16, "block_k": 16},
+        {"block_m": 8, "block_d": 8, "block_k": 16},
+        {"block_m": 16, "block_d": 16, "block_k": 32},
     ]))
     trace = workspace / "trace.json"
-    rc = main(["bench", "--m", "16", "--k", "32", "--d", "16", "--bits", "4",
+    rc = main(["bench", "--m", "16", "--k", "32", "--d", "16", "--bits", str(bits),
                "--configs", str(cfgs), "--runs", "3", "--trace", str(trace)])
     assert rc == 0
     out = capsys.readouterr().out
@@ -394,7 +400,7 @@ def test_bench_with_trace(workspace, capsys):
     spans = json.loads(trace.read_text())
     labels = [s["label"] for s in spans]
     assert labels.count("forward") == 1
-    # the two configs run 4 tiles of 4 slabs and 1 tile of 2 slabs
+    # the two configs run 4 tiles of 2 slabs and 1 tile of 1 slab
     assert labels.count("tile") == len(tiles)
     assert labels.count("dequant") == len(tiles) * len(slabs)
 
@@ -493,8 +499,9 @@ def test_gen_calib_negative_sizes_are_invariant_errors(tmp_path, capsys):
     assert not (tmp_path / "c.bin").exists()
 
 
-@pytest.mark.parametrize("layers,dim", [(("-1", "1"), "8"), (("1", "-1"), "8"), (("1", "1"), "0")],
-                         ids=["vision", "crossmodal", "dim"])
+@pytest.mark.parametrize("layers,dim", [(("-1", "1"), "8"), (("1", "-1"), "8"), (("1", "1"), "0"),
+                                        (("0", "0"), "8")],
+                         ids=["vision", "crossmodal", "dim", "no layers"])
 def test_gen_model_bad_geometry_is_invariant_error(tmp_path, capsys, layers, dim):
     assert main(["gen-model", "--vision-layers", layers[0], "--crossmodal-layers", layers[1],
                  "--dim", dim, "--out", str(tmp_path / "m.bin")]) == 4
