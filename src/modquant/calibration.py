@@ -2,14 +2,12 @@
 
 Calibration samples are the activations arriving at a module boundary of
 the synthetic model. Every sequence position contributes one row to the
-Hessian statistic H = 2 * X^T X accumulated over all samples; auxiliary
-tensors (attention mask, position/token-type embeddings) are carried as
-opaque payloads and never enter the Hessian.
+Hessian statistic H = 2 * X^T X accumulated over all samples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +17,6 @@ from .quantcore import QuantConfig
 from .tensorio import (
     _seeded_rng,
     check_matrix,
-    check_tensor,
     file_invariants,
     load_container,
     typed_attr,
@@ -41,22 +38,15 @@ def _one_width(samples) -> list[np.ndarray]:
 
 @dataclass
 class CalibrationSet:
-    """A str `module_id`, `samples` that `check_matrix` accepts, all of one
-    width, and `aux`, a map from str names to tensors the container can
-    store (`check_tensor`); building one checks all three."""
+    """A str `module_id` and `samples` that `check_matrix` accepts, all of
+    one width; building one checks both."""
 
     module_id: str
     samples: list[np.ndarray]
-    aux: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        fields = vars(self)
-        typed_attr(fields, "module_id", str)
+        typed_attr(vars(self), "module_id", str)
         self.samples = _one_width(self.samples)
-        aux = typed_attr(fields, "aux", dict)
-        if any(type(name) is not str for name in aux):
-            raise InvariantError(f"aux names must be str, got {list(aux)!r}")
-        self.aux = {name: check_tensor(f"calib/aux/{name}", t) for name, t in aux.items()}
 
 
 def hessian_from_samples(samples, damp_ratio: float) -> np.ndarray:
@@ -106,7 +96,6 @@ def capture_calibration(
     model: SyntheticModel,
     inputs: list[np.ndarray],
     module_selector: str,
-    aux: dict[str, np.ndarray] | None = None,
 ) -> CalibrationSet:
     """Catch the activations entering the selected module's first layer.
 
@@ -128,16 +117,13 @@ def capture_calibration(
         samples = [model.forward_vision(x) for x in inputs]
     else:
         raise InvariantError(f"unknown module selector {module_selector!r}")
-    return CalibrationSet(module_selector, samples, dict(aux or {}))
+    return CalibrationSet(module_selector, samples)
 
 
 def save_calibration(calib: CalibrationSet, path) -> None:
-    tensors = {f"calib/samples/{k}": s for k, s in enumerate(calib.samples)}
-    for name, t in calib.aux.items():
-        tensors[f"calib/aux/{name}"] = t
     write_container(
         path,
-        tensors,
+        {f"calib/samples/{k}": s for k, s in enumerate(calib.samples)},
         {"schema": CALIBRATION_SCHEMA, "module_id": calib.module_id,
          "num_samples": len(calib.samples)},
     )
@@ -148,8 +134,8 @@ def load_calibration(path) -> CalibrationSet:
 
     A container of another schema, a missing or mistyped `num_samples` (an
     integer), a missing `calib/samples/<k>` tensor for any k < num_samples,
-    any other tensor outside `calib/aux/*`, and a `module_id` or samples that
-    `CalibrationSet` rejects, is a FormatError.
+    any other tensor, and a `module_id` or samples that `CalibrationSet`
+    rejects, is a FormatError.
     """
     tensors, attrs = load_container(path)
     with file_invariants(path):
@@ -162,10 +148,8 @@ def load_calibration(path) -> CalibrationSet:
             if sample is None:
                 raise InvariantError(f"tensor 'calib/samples/{k}' is missing")
             samples.append(sample)
-        stray = sorted(name for name in tensors if not name.startswith("calib/aux/"))
-        if stray:
+        if tensors:
             raise InvariantError(
-                f"tensors {stray} are neither samples below num_samples nor calib/aux/*"
+                f"tensors {sorted(tensors)} are not samples below num_samples"
             )
-        aux = {name.removeprefix("calib/aux/"): t for name, t in tensors.items()}
-        return CalibrationSet(attrs.get("module_id"), samples, aux)
+        return CalibrationSet(attrs.get("module_id"), samples)

@@ -22,6 +22,7 @@ from .quantcore import (
     lanes_per_word,
     rows_per_group,
 )
+from .tensorio import typed_attr
 
 
 def _check_codes(grid: np.ndarray, bits: int) -> np.ndarray:
@@ -116,9 +117,10 @@ PACKED_TENSORS = ("qweight", "scales", "qzeros", "g_idx", "bias")
 class PackedLinear:
     """A quantized linear layer in its storage form.
 
-    Every construction checks the layout: each tensor has the dtype and
-    shape that `_packed_layout(in_features, out_features, bits, groupsize)`
-    gives, a bias is (out_features,) f32, g_idx is
+    Every construction checks the layout: `bits`, `groupsize`,
+    `in_features` and `out_features` are ints by `typed_attr`, each tensor
+    has the dtype and shape that `_packed_layout(in_features, out_features,
+    bits, groupsize)` gives, a bias is (out_features,) f32, g_idx is
     `group_index(in_features, groupsize)`, and the f16 scales (their
     serialized dtype) are finite; anything else is an InvariantError.
     Compute always widens the scales to f32.
@@ -184,7 +186,12 @@ def _packed_layout(
     in_features: int, out_features: int, bits: int, groupsize: int
 ) -> dict[str, tuple[type, tuple[int, ...]]]:
     """Dtype and shape of each packed tensor of an in x out layer; an
-    InvariantError unless both are >= 1 and in_features is a multiple of f_int."""
+    InvariantError unless all four arguments are ints by `typed_attr`, both
+    sizes are >= 1 and in_features is a multiple of f_int."""
+    dims = {"in_features": in_features, "out_features": out_features, "bits": bits,
+            "groupsize": groupsize}
+    for key in dims:
+        typed_attr(dims, key, int)
     f_int = lanes_per_word(bits)
     if in_features < 1 or out_features < 1 or in_features % f_int != 0:
         raise InvariantError(

@@ -11,7 +11,7 @@ inverse-Hessian update, minimizing the proxy loss trace(D^T H D) / O.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +41,8 @@ def lanes_per_word(bits: int) -> int:
 class QuantConfig:
     """Building one checks every field by `typed_attr`: `bits` an int in
     SUPPORTED_BITS, `groupsize` an int, -1 or >= 1, and `damp_ratio` a float
-    or int (not a bool), finite and > 0. Every grid is the asymmetric one
-    that `compute_group_params` fits."""
+    or int (not a bool), > 0 and finite as an f64. Every grid is the
+    asymmetric one that `compute_group_params` fits."""
 
     bits: int = 4
     groupsize: int = -1
@@ -53,7 +53,7 @@ class QuantConfig:
         lanes_per_word(typed_attr(fields, "bits", int))
         rows_per_group(1, typed_attr(fields, "groupsize", int))
         damp = typed_attr(fields, "damp_ratio", (float, int))
-        if not math.isfinite(damp) or damp <= 0:
+        if not 0 < damp <= sys.float_info.max:
             raise InvariantError(f"damp_ratio must be finite and > 0, got {damp}")
 
     @property
@@ -267,9 +267,14 @@ def inverse_hessian_factor(H: np.ndarray) -> np.ndarray:
     With J the row/column flip, J H J = L L^T gives H = R R^T for the upper
     triangular R = J L J, so U = R^-1: one Cholesky (in f64, so the row
     feedback stays accurate for ill-conditioned H) and one triangular
-    inverse. A non-positive-definite H raises NumericError.
+    inverse. An H that is not a finite square matrix is an InvariantError;
+    a non-positive-definite one raises NumericError.
     """
     H = np.asarray(H, dtype=np.float64)
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise InvariantError(f"H must be a square matrix, got shape {H.shape}")
+    if not np.isfinite(H).all():
+        raise InvariantError("H must be finite")
     try:
         low = np.linalg.cholesky(H[::-1, ::-1])
     except np.linalg.LinAlgError as exc:
@@ -301,11 +306,13 @@ def _upper_triangular_inverse(r: np.ndarray) -> np.ndarray:
 def proxy_loss(W: np.ndarray, q: QuantizedMatrix, H: np.ndarray) -> float:
     """Hessian-weighted reconstruction error trace(D^T H D) / O, where D is
     W minus q dequantized. InvariantError unless q has W's (n, O) shape and
-    H is (n, n)."""
+    H is a finite (n, n) matrix."""
     W = check_matrix(W)
     h = np.asarray(H, dtype=np.float64)
     if q.shape != W.shape or h.shape != (W.shape[0],) * 2:
         raise InvariantError(f"proxy_loss needs q of W's shape {W.shape} and H of "
                              f"({W.shape[0]}, {W.shape[0]}), got {q.shape} and {h.shape}")
+    if not np.isfinite(h).all():
+        raise InvariantError("proxy_loss needs a finite H")
     d = (W - dequantize_matrix(q)).astype(np.float64)
     return float(np.sum(d * (h @ d)) / d.shape[1])

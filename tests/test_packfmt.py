@@ -75,7 +75,7 @@ class TestPackWeights:
         # exactly one 4-bit lane changed
         assert word == (q[13, 2] ^ q2[13, 2]) << (4 * (13 % 8))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         bits=st.sampled_from([2, 4, 8]),
         words=st.integers(1, 8),
@@ -88,7 +88,7 @@ class TestPackWeights:
         assert np.array_equal(unpack_weights(pack_weights(q, bits), bits), q)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     bits=st.sampled_from([2, 4, 8]),
     words=st.integers(1, 6),
@@ -288,13 +288,28 @@ def test_packed_linear_checks_its_layout(mutation):
         dataclasses.replace(layer, **LAYOUT_MUTATIONS[mutation](layer))
 
 
+@pytest.mark.parametrize("kind", [float, bool])
+@pytest.mark.parametrize("field", ["bits", "groupsize", "in_features", "out_features"])
+def test_packed_layout_fields_are_exact_ints(field, kind):
+    # 4.0 passes every comparison that 4 does; the layer and the estimate read
+    # one layout table, which takes ints by `typed_attr`'s rule
+    layer = _g16_layer()
+    dims = {f: getattr(layer, f) for f in ("in_features", "out_features", "bits", "groupsize")}
+    dims[field] = kind(dims[field])
+    match = f"attribute {field!r} must be a int"
+    with pytest.raises(InvariantError, match=match):
+        dataclasses.replace(layer, **{field: dims[field]})
+    with pytest.raises(InvariantError, match=match):
+        estimate_packed_size(**dims)
+
+
 def test_packed_linear_fields_cannot_be_rebound():
     with pytest.raises(dataclasses.FrozenInstanceError):
         _g16_layer().in_features = 60
 
 
 class TestLayoutAgreement:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         bits=st.sampled_from([2, 4, 8]),
         words=st.integers(1, 6),

@@ -587,6 +587,7 @@ LOADER_MUTATIONS = {
     "calib: NaN sample": ("calib", _poke("calib/samples/0", (0, 0), np.nan)),
     "calib: sample beyond num_samples": ("calib", _copy("calib/samples/0", "calib/samples/5")),
     "calib: unprefixed tensor": ("calib", _copy("calib/samples/0", "junk")),
+    "calib: aux tensor": ("calib", _copy("calib/samples/0", "calib/aux/mask")),
     "calib: sample beyond a shrunk num_samples": ("calib", _attr("num_samples", 1)),
 }
 
@@ -648,7 +649,7 @@ def test_load_model_rejects_weight_shapes(tmp_path, mutation):
         load_model(path)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(
     layers=st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any),
     dim=st.sampled_from(range(8, 65, 8)),
@@ -739,7 +740,7 @@ def small_model():
             CalibrationSet("crossmodal", [synthetic_activations(32, 16, 2)]))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(case=st.sampled_from(sorted(RECORD_FIELDS)).flatmap(
     lambda field: st.tuples(st.just(field), RECORD_FIELDS[field][1])))
 @example(case=("embed_dims", (16, 16)))

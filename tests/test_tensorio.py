@@ -272,7 +272,7 @@ _EDITS = st.tuples(
 )
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400)
 @given(edits=st.lists(_EDITS, min_size=1, max_size=4))
 def test_mutated_container_loads_or_is_format_error(small_container, edits):
     path, blob = small_container
