@@ -7,10 +7,13 @@ belongs to group floor(i / groupsize). The Hessian-weighted quantizer
 snaps input rows to the group grid one at a time and folds each row's
 quantization residual into the rows not yet processed via the
 inverse-Hessian update, minimizing the proxy loss trace(D^T H D) / O.
+The Hessian, its factor and the proxy loss are f64; the sweep itself runs
+in f32 on the factor's unit-diagonal form.
 """
 
 from __future__ import annotations
 
+import reprlib
 import sys
 from dataclasses import dataclass
 
@@ -54,7 +57,8 @@ class QuantConfig:
         rows_per_group(1, typed_attr(fields, "groupsize", int))
         damp = typed_attr(fields, "damp_ratio", (float, int))
         if not 0 < damp <= sys.float_info.max:
-            raise InvariantError(f"damp_ratio must be finite and > 0, got {damp}")
+            raise InvariantError(
+                f"damp_ratio must be finite and > 0, got {reprlib.repr(damp)}")
 
     @property
     def maxq(self) -> int:
@@ -193,15 +197,21 @@ def dequantize_matrix(q: QuantizedMatrix) -> np.ndarray:
 def gptq_quantize(W: np.ndarray, cfg: QuantConfig, *, factor: np.ndarray) -> QuantizedMatrix:
     """Sequential Hessian-weighted quantization with error compensation.
 
-    `factor` is `inverse_hessian_factor(H)`, the upper Cholesky factor of
+    `factor` is `inverse_hessian_factor(H)`, the upper Cholesky factor U of
     H^-1 and the only form of the Hessian the sweep reads; matrices that
     share one Hessian share one factor. A factor that is not finite, upper
     triangular and positive on its diagonal is an InvariantError.
 
     Input rows are processed in natural order against group parameters
-    fitted on the original weights; after snapping row i, the residual is
-    propagated into rows > i through the factor, the step that lets later
-    rows absorb earlier rounding error.
+    fitted on the original weights; after snapping row i, its residual
+    w - q (in weight units) is propagated into rows > i through row i of
+    V = U / diag(U), the step that lets later rows absorb earlier rounding
+    error. V is formed in f64 and then cast to f32; it is unit-diagonal and
+    does not change when H is scaled by a power of two, whereas U itself
+    can leave float32's range. The sweep holds the working rows, V, the
+    scales, the zero points and the residuals in f32, as GPTQ's reference
+    code does. A V or a working row beyond float32's range is a
+    NumericError.
 
     The propagation is lazy (GPTQ's batch update) on two levels: rows are
     swept in blocks of GPTQ_BLOCK split into sub-blocks of GPTQ_SUB_BLOCK,
@@ -212,7 +222,7 @@ def gptq_quantize(W: np.ndarray, cfg: QuantConfig, *, factor: np.ndarray) -> Qua
 
     The snap clips round(w / s) to [-z, maxq - z] and adds z back, which
     equals clip(round(w / s) + z, 0, maxq) exactly: every term is an
-    integer held in f64.
+    integer of magnitude at most 255, held exactly in f32 (below 2^24).
     """
     W = check_matrix(W)
     n_rows, n_cols = W.shape
@@ -226,39 +236,53 @@ def gptq_quantize(W: np.ndarray, cfg: QuantConfig, *, factor: np.ndarray) -> Qua
             "factor must be finite and upper triangular with a positive diagonal"
         )
     scales, zeros = compute_group_params(W, cfg)
+    try:
+        # An overflow inside a BLAS worker thread sets no flag numpy sees;
+        # the NaN it can leave is caught at the snap's int32 cast.
+        with np.errstate(over="raise", invalid="raise"):
+            v = (u / np.diag(u)[:, None]).astype(np.float32)
+            qint = _gptq_sweep(W.copy(), v, scales, zeros, cfg)
+    except FloatingPointError as exc:
+        raise NumericError(
+            f"GPTQ sweep left float32's range ({exc}); increase damping"
+        ) from exc
+    return QuantizedMatrix(qint, scales, zeros, cfg.bits, cfg.groupsize)
 
-    work = W.astype(np.float64)
+
+def _gptq_sweep(work: np.ndarray, v: np.ndarray, scales: np.ndarray, zeros: np.ndarray,
+                cfg: QuantConfig) -> np.ndarray:
+    """The codes of `gptq_quantize`'s sweep over the f32 rows `work`, which
+    it overwrites, through the unit-diagonal f32 factor `v`."""
+    n_rows, n_cols = work.shape
     qint = np.empty((n_rows, n_cols), dtype=np.int32)
-    s64 = scales.astype(np.float64)
-    z64 = zeros.astype(np.float64)
-    lo, hi = -z64, cfg.maxq - z64
+    s32 = scales.astype(np.float32)
+    z32 = zeros.astype(np.float32)
+    lo, hi = -z32, cfg.maxq - z32
     g_idx = group_index(n_rows, cfg.groupsize).tolist()
-    diag = np.diag(u).tolist()
-    qz = np.empty(n_cols)  # q - z of the row being snapped
+    qz = np.empty(n_cols, dtype=np.float32)  # q - z of the row being snapped
     for b0 in range(0, n_rows, GPTQ_BLOCK):
         b1 = min(b0 + GPTQ_BLOCK, n_rows)
-        errs = np.empty((b1 - b0, n_cols))
+        errs = np.empty((b1 - b0, n_cols), dtype=np.float32)
         for s0 in range(b0, b1, GPTQ_SUB_BLOCK):
             s1 = min(s0 + GPTQ_SUB_BLOCK, b1)
             for i in range(s0, s1):
                 row, err = work[i], errs[i - b0]
                 if i > s0:
-                    row -= u[s0:i, i] @ errs[s0 - b0 : i - b0]
+                    row -= v[s0:i, i] @ errs[s0 - b0 : i - b0]
                 g = g_idx[i]
-                s = s64[g]
+                s = s32[g]
                 np.divide(row, s, out=qz)
                 np.rint(qz, out=qz)
                 np.maximum(qz, lo[g], out=qz)
                 np.minimum(qz, hi[g], out=qz)
-                np.add(qz, z64[g], out=qint[i], casting="unsafe")
+                np.add(qz, z32[g], out=qint[i], casting="unsafe")
                 np.multiply(qz, s, out=err)
                 np.subtract(row, err, out=err)
-                err /= diag[i]
             if s1 < b1:
-                work[s1:b1] -= u[s0:s1, s1:b1].T @ errs[s0 - b0 : s1 - b0]
+                work[s1:b1] -= v[s0:s1, s1:b1].T @ errs[s0 - b0 : s1 - b0]
         if b1 < n_rows:
-            work[b1:] -= u[b0:b1, b1:].T @ errs
-    return QuantizedMatrix(qint, scales, zeros, cfg.bits, cfg.groupsize)
+            work[b1:] -= v[b0:b1, b1:].T @ errs
+    return qint
 
 
 def inverse_hessian_factor(H: np.ndarray) -> np.ndarray:

@@ -128,15 +128,20 @@ def models(tmp_path_factory):
     ("768", ["--bits", "4", "--groupsize", "128"]),
 ], ids=["gptq 4 g32", "gptq 8 g-1", "rtn 2 g48", "dim 768 gptq 4 g128"])
 def test_quantize_is_deterministic(models, tmp_path, dim, args):
-    """Two runs write byte-equal checkpoints and reports: the first in this
-    process, the second in a fresh one with BLAS at one thread, so the bytes
-    depend neither on the process nor on BLAS's thread count."""
-    first, second = (str(tmp_path / f"{n}.bin") for n in (1, 2))
+    """Runs write byte-equal checkpoints and reports: the first in this
+    process, the others in fresh ones with BLAS at one thread and, for the
+    dim-768 case, at four, so the bytes depend neither on the process nor on
+    BLAS's thread count (the GPTQ sweep's f32 products may split their sums
+    by thread count)."""
+    first = str(tmp_path / "first.bin")
     assert main(["quantize", *models[dim], *args, "--out", first]) == 0
-    run([sys.executable, "-m", "modquant.cli", "quantize", *models[dim], *args,
-         "--out", second], tmp_path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    for suffix in ("", ".report.json"):
-        assert Path(first + suffix).read_bytes() == Path(second + suffix).read_bytes()
+    for threads in ("1", "4") if dim == "768" else ("1",):
+        second = str(tmp_path / f"threads{threads}.bin")
+        run([sys.executable, "-m", "modquant.cli", "quantize", *models[dim], *args,
+             "--out", second], tmp_path, OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads)
+        for suffix in ("", ".report.json"):
+            assert Path(first + suffix).read_bytes() == Path(second + suffix).read_bytes()
     # No CLI command reads a checkpoint, so load it back: what the writer
     # wrote must pass the loader, the report must be the checkpoint's only
     # manifest and equal the report file, and its processing order must be
