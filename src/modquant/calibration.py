@@ -24,6 +24,9 @@ from .tensorio import (
 )
 
 CALIBRATION_SCHEMA = "calibration/1"
+# The modules a calibration set can come from: the vision stack's input, and
+# the cross-modal layers' input (the vision stack's output).
+MODULES = ("vision", "crossmodal")
 
 
 def _one_width(samples) -> list[np.ndarray]:
@@ -38,14 +41,15 @@ def _one_width(samples) -> list[np.ndarray]:
 
 @dataclass
 class CalibrationSet:
-    """A str `module_id` and `samples` that `check_matrix` accepts, all of
-    one width; building one checks both."""
+    """A `module_id`, a str that `MODULES` lists, and `samples` that
+    `check_matrix` accepts, all of one width; building one checks both."""
 
     module_id: str
     samples: list[np.ndarray]
 
     def __post_init__(self):
-        typed_attr(vars(self), "module_id", str)
+        if typed_attr(vars(self), "module_id", str) not in MODULES:
+            raise InvariantError(f"module_id must be one of {MODULES}, got {self.module_id!r}")
         self.samples = _one_width(self.samples)
 
 
@@ -101,8 +105,12 @@ def capture_calibration(
 
     'vision' catches at the first vision layer (the raw inputs);
     'crossmodal' catches after the full vision stack. Forward execution
-    stops at the catch point.
+    stops at the catch point. A selector that `MODULES` does not list is an
+    InvariantError.
     """
+    if module_selector not in MODULES:
+        raise InvariantError(f"unknown module selector {module_selector!r}, "
+                             f"not one of {MODULES}")
     inputs = _one_width(inputs)
     d_v = model.embed_dims[0]
     if inputs[0].shape[1] != d_v:
@@ -111,12 +119,10 @@ def capture_calibration(
         if not model.vision_layers:
             raise InvariantError("model has no vision module")
         samples = [x.copy() for x in inputs]
-    elif module_selector == "crossmodal":
+    else:
         if not model.crossmodal_layers:
             raise InvariantError("model has no cross-modal module")
         samples = [model.forward_vision(x) for x in inputs]
-    else:
-        raise InvariantError(f"unknown module selector {module_selector!r}")
     return CalibrationSet(module_selector, samples)
 
 

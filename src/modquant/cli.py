@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibration import load_calibration, save_calibration, CalibrationSet
+from .calibration import MODULES, CalibrationSet, load_calibration, save_calibration
 from .errors import FormatError, InvariantError, NumericError
 from .kernel import TileConfig, Tracer, autotune, quant_matmul
 from .model import generate_model, load_model, save_model
@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
 
     c = sub.add_parser("gen-calib", help="emit a random calibration container")
-    c.add_argument("--module", choices=["vision", "crossmodal"], required=True)
+    c.add_argument("--module", choices=MODULES, required=True)
     c.add_argument("--dim", type=int, required=True)
     c.add_argument("--samples", type=int, default=4)
     c.add_argument("--seqlen", type=int, default=32)

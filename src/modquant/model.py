@@ -123,17 +123,14 @@ class SyntheticModel:
                 for name in group.members:
                     expect(name, 0, d_m, "D_M")
 
-    hessian_sharing = ("one Hessian per cross-modal layer, shared by all "
-                       "four groups (single input-feature space)")
-
     def hessian_blocks(self, vision_samples, crossmodal_samples):
         """Yield (module, layer_index, [(name, group_kind)], samples) for each
         Hessian block in processing order: one per vision layer, then one per
-        cross-modal layer holding all eight members (`hessian_sharing`). Each
-        block's samples are its module's calibration propagated through the
-        original weights of the earlier layers. Sample dims that do not match
-        D_V or D_M, for a module with layers, are an InvariantError before the
-        first block; empty sample lists read no weight."""
+        cross-modal layer holding all eight members. Each block's samples are
+        its module's calibration propagated through the original weights of
+        the earlier layers. Sample dims that do not match D_V or D_M, for a
+        module with layers, are an InvariantError before the first block;
+        empty sample lists read no weight."""
         for what, dim_name, k, samples, layers in (
                 ("vision", "D_V", 0, vision_samples, self.vision_layers),
                 ("cross-modal", "D_M", 1, crossmodal_samples, self.crossmodal_layers)):

@@ -3,15 +3,14 @@
 `quantize_model` quantizes the blocks of `SyntheticModel.hessian_blocks`
 in the walk's order, each against one Hessian of the calibration input
 the walk gives it: the model, not the pipeline, sets order and sharing.
+Each report entry names its block by its index in the walk
+(`hessian_block`), so members with one index share one Hessian.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import partial
-
-import numpy as np
 
 from .calibration import CalibrationSet, hessian_from_samples
 from .errors import InvariantError
@@ -70,13 +69,6 @@ class QuantizedCheckpoint:
             raise InvariantError(f"report 'layers' lists {listed}, but the layers are {held}")
 
 
-def _hash_samples(samples: list[np.ndarray]) -> str:
-    h = hashlib.sha256()
-    for s in samples:
-        h.update(np.ascontiguousarray(s, dtype=np.float32))
-    return h.hexdigest()
-
-
 def quantize_model(
     model: SyntheticModel,
     calib_v: CalibrationSet,
@@ -95,9 +87,8 @@ def quantize_model(
                         cfg.bits, cfg.groupsize)["per_layer"]
     layers: dict[str, PackedLinear] = {}
     entries = []
-    for module, layer_idx, members, samples in model.hessian_blocks(calib_v.samples,
-                                                                    calib_m.samples):
-        calib_hash = _hash_samples(samples)
+    blocks = model.hessian_blocks(calib_v.samples, calib_m.samples)
+    for block, (module, layer_idx, members, samples) in enumerate(blocks):
         hessian = hessian_from_samples(samples, cfg.damp_ratio)
         quantize = (partial(gptq_quantize, factor=inverse_hessian_factor(hessian))
                     if method == "gptq" else rtn_quantize)
@@ -113,7 +104,7 @@ def quantize_model(
                 "in_features": int(weight.shape[0]),
                 "out_features": int(weight.shape[1]),
                 "proxy_loss": proxy_loss(weight, q, hessian),
-                "calib_sha256": calib_hash,
+                "hessian_block": block,
                 "bytes": sizes[name],
             })
 
@@ -123,7 +114,6 @@ def quantize_model(
         "bits": cfg.bits,
         "groupsize": cfg.groupsize,
         "damp_ratio": cfg.damp_ratio,
-        "hessian_sharing": model.hessian_sharing,
         "processing_order": [e["name"] for e in entries],
         "layers": entries,
         "misc_params": model.misc_params,

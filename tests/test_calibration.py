@@ -189,12 +189,14 @@ class TestCapture:
 
 
 def test_calibration_set_invariants():
-    with pytest.raises(InvariantError):
-        CalibrationSet("m", [])
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match="one width"):
+        CalibrationSet("vision", [])
+    with pytest.raises(InvariantError, match="widths"):
         CalibrationSet(
-            "m", [seeded_random_matrix(2, 3, 0), seeded_random_matrix(2, 4, 0)]
+            "vision", [seeded_random_matrix(2, 3, 0), seeded_random_matrix(2, 4, 0)]
         )
+    with pytest.raises(InvariantError, match="module_id must be one of"):
+        CalibrationSet("audio", [seeded_random_matrix(2, 3, 0)])
 
 
 @pytest.mark.parametrize("rows,dim", [(0, 4), (4, 0)])

@@ -105,6 +105,11 @@ def test_quantize_and_size(workspace, capsys):
     assert len(ckpt.layers) == 9  # 1 vision + 8 cross-modal members
     report = json.loads((workspace / "ckpt.bin.report.json").read_text())
     assert report["schema_version"] == 1
+    assert report.keys() == {"schema_version", "method", "bits", "groupsize", "damp_ratio",
+                             "processing_order", "layers", "misc_params"}
+    assert all(e.keys() == {"name", "module", "layer_index", "group", "in_features",
+                            "out_features", "proxy_loss", "hessian_block", "bytes"}
+               for e in report["layers"])
 
     capsys.readouterr()
     assert main(["size", "--model", str(workspace / "model.bin"),

@@ -80,14 +80,17 @@ class TestQuantizeModel:
                     seen.append(g)
             assert tuple(seen) == GROUP_ORDER
 
-    def test_groups_share_calibration_hash(self, checkpoint):
-        for j in (0, 1):
-            hashes = {
-                e["calib_sha256"]
-                for e in checkpoint.report["layers"]
-                if e["module"] == "crossmodal" and e["layer_index"] == j
-            }
-            assert len(hashes) == 1
+    def test_one_hessian_block_per_crossmodal_layer(self, model, checkpoint):
+        # Each vision layer has its own block and each cross-modal layer one
+        # for all eight members, numbered 0..n-1 in the order of the walk.
+        entries = checkpoint.report["layers"]
+        by_layer = {}
+        for e in entries:
+            by_layer.setdefault((e["module"], e["layer_index"]), set()).add(e["hessian_block"])
+        assert list(by_layer.values()) == [{0}, {1}, {2}, {3}]
+        walk = model.hessian_blocks(calib("vision", 10).samples, calib("crossmodal", 20).samples)
+        assert [(e["name"], e["hessian_block"]) for e in entries] == [
+            (name, k) for k, (*_, members, _) in enumerate(walk) for name, _ in members]
 
     def test_vision_independent_of_crossmodal_calib(self, model, checkpoint):
         other = quantize_model(model, calib("vision", 10), calib("crossmodal", 99), CFG)
@@ -245,12 +248,19 @@ class TestQuantizeModel:
         monkeypatch.setattr(pipeline, "inverse_hessian_factor", counting_factorize)
         monkeypatch.setattr(pipeline, "gptq_quantize", recording_gptq)
         ck = quantize_model(split, calib("vision", 10), calib("crossmodal", 20), CFG)
-        keys = [(e["module"], e["layer_index"], e["group"]) for e in ck.report["layers"]]
+        entries = ck.report["layers"]
+        keys = [(e["module"], e["layer_index"], e["group"]) for e in entries]
         blocks = list(dict.fromkeys(keys))
         assert len(factors) == len(blocks) == 10
-        assert all(got is factors[blocks.index(k)] for got, k in zip(gptq_factors, keys))
-        save_checkpoint(ck, tmp_path / "split.bin")
-        save_checkpoint(checkpoint, tmp_path / "layer.bin")
+        assert [e["hessian_block"] for e in entries] == [blocks.index(k) for k in keys]
+        assert len(gptq_factors) == len(entries)
+        assert all(got is factors[e["hessian_block"]] for got, e in zip(gptq_factors, entries))
+        # Every block reads the same input, so the files differ only by the
+        # block indices: without them, packed tensors and reports are equal.
+        for ckpt, path in ((ck, tmp_path / "split.bin"), (checkpoint, tmp_path / "layer.bin")):
+            report = {**ckpt.report, "layers": [
+                {k: v for k, v in e.items() if k != "hessian_block"} for e in ckpt.report["layers"]]}
+            save_checkpoint(QuantizedCheckpoint(ckpt.layers, report), path)
         assert (tmp_path / "split.bin").read_bytes() == (tmp_path / "layer.bin").read_bytes()
 
     def test_processing_order_is_the_models_matrix_order(self, model, checkpoint):
@@ -282,14 +292,19 @@ class TestQuantizeModel:
             )
 
     def test_report_with_retired_keys_loads(self, checkpoint, tmp_path):
-        """Older reports also hold a top-level "symmetric" and each entry's
-        "order_index"; the loader reads neither, so those files still load."""
+        """Older reports also hold a top-level "symmetric" and
+        "hessian_sharing", and each entry's "order_index" and "calib_sha256";
+        the loader reads none of them, so those files still load."""
         path = tmp_path / "old.bin"
         save_checkpoint(checkpoint, path)
         tensors, attrs = load_container(path)
         attrs["report"]["symmetric"] = False
+        attrs["report"]["hessian_sharing"] = (
+            "one Hessian per cross-modal layer, shared by all four groups "
+            "(single input-feature space)")
         for i, entry in enumerate(attrs["report"]["layers"]):
             entry["order_index"] = i
+            entry["calib_sha256"] = f"{entry['hessian_block']:064x}"
         write_container(path, tensors, attrs)
         back = load_checkpoint(path)
         assert back.report == attrs["report"]
@@ -581,6 +596,7 @@ LOADER_MUTATIONS = {
     "calib: num_samples above the samples": ("calib", _attr("num_samples", 3)),
     "calib: missing module_id": ("calib", _attr("module_id")),
     "calib: module_id not a string": ("calib", _attr("module_id", 1)),
+    "calib: unknown module_id": ("calib", _attr("module_id", "audio")),
     "calib: missing sample": ("calib", _drop("calib/samples/1")),
     "calib: 1-D sample": ("calib", _tensor("calib/samples/0", np.ravel)),
     "calib: samples of mixed widths": ("calib", _tensor("calib/samples/1", lambda x: x[:, :4])),
