@@ -17,6 +17,7 @@ import numpy as np
 from .errors import InvariantError
 from .tensorio import (
     _seeded_rng,
+    check_allocatable,
     check_matrix,
     file_invariants,
     list_attr,
@@ -200,6 +201,7 @@ def generate_model(
     if (dim < 1 or vision_layers < 0 or crossmodal_layers < 0
             or vision_layers + crossmodal_layers == 0):
         raise InvariantError("bad model geometry")
+    check_allocatable(dim, dim, np.float64)  # each weight is drawn in f64
     rng = _seeded_rng(seed)
     scale = 1.0 / np.sqrt(dim)
     weights: dict[str, np.ndarray] = {}

@@ -84,12 +84,21 @@ def _seeded_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def check_allocatable(rows: int, cols: int, dtype) -> None:
+    """An InvariantError for a rows x cols `dtype` array too large for numpy
+    to index, which numpy would refuse with a ValueError."""
+    if int(rows) * int(cols) * np.dtype(dtype).itemsize > np.iinfo(np.intp).max:
+        raise InvariantError(f"a {rows} x {cols} {np.dtype(dtype)} array is too large "
+                             "to allocate")
+
+
 def seeded_random_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
     """Standard-normal f32 matrix; a pure function of (rows, cols, seed), drawn
     row by row from `_seeded_rng(seed)`, so its first r rows are
     `seeded_random_matrix(r, cols, seed)`."""
     if rows < 1 or cols < 1:
         raise InvariantError(f"dimensions must be >= 1, got ({rows}, {cols})")
+    check_allocatable(rows, cols, np.float32)
     return _seeded_rng(seed).standard_normal((rows, cols), dtype=np.float32)
 
 

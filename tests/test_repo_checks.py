@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from modquant import load_calibration, load_checkpoint, load_container, load_model
-from modquant.cli import main
+from modquant.cli import _COMMANDS, main
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "modquant").glob("*.py"))
@@ -82,11 +82,12 @@ def test_text_files_are_opened_with_an_encoding(path):
 
 
 def test_readme_cli_round_trip(tmp_path):
-    """The README's CLI block (its third sh block) runs as written, and its
-    two modules calibrate on different data. The calibration files always
-    differ in their module_id, so the samples are compared, not the files."""
+    """The README's CLI block (its third sh block) runs every command once
+    or more, as written, and its two modules calibrate on different data.
+    The calibration files always differ in their module_id, so the samples
+    are compared, not the files."""
     script = re.findall(r"^```sh\n(.*?)^```$", README, re.M | re.S)[2]
-    assert re.search(r"^modquant eval-circular", script, re.M)
+    assert set(re.findall(r"^modquant ([\w-]+)", script, re.M)) == set(_COMMANDS)
     modquant = f'modquant() {{ {shlex.quote(sys.executable)} -m modquant.cli "$@"; }}'
     run(["bash", "-c", f"set -euo pipefail\n{modquant}\n{script}"], tmp_path)
     v, m = ({(s.shape, s.tobytes()) for s in load_calibration(tmp_path / name).samples}
