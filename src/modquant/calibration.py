@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError, NumericError
-from .model import SyntheticModel
+from .model import SyntheticModel, check_propagated
 from .quantcore import QuantConfig
 from .tensorio import (
     _seeded_rng,
@@ -106,7 +106,7 @@ def capture_calibration(
     'vision' catches at the first vision layer (the raw inputs);
     'crossmodal' catches after the full vision stack. Forward execution
     stops at the catch point. A selector that `MODULES` does not list is an
-    InvariantError.
+    InvariantError; activations that leave float32's range are a NumericError.
     """
     if module_selector not in MODULES:
         raise InvariantError(f"unknown module selector {module_selector!r}, "
@@ -122,7 +122,9 @@ def capture_calibration(
     else:
         if not model.crossmodal_layers:
             raise InvariantError("model has no cross-modal module")
-        samples = [model.forward_vision(x) for x in inputs]
+        with np.errstate(over="ignore", invalid="ignore"):
+            samples = [model.forward_vision(x) for x in inputs]
+        check_propagated(samples, "cross-modal", 0)
     return CalibrationSet(module_selector, samples)
 
 

@@ -139,9 +139,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_size(args) -> int:
-    model = load_model(args.model)
-    shapes = [(n, *model.weights[n].shape) for n in model.matrix_names()]
-    report = size_report(shapes, args.bits, args.groupsize, model.misc_params)
+    report = size_report(load_model(args.model), args.bits, args.groupsize)
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 

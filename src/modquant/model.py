@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantError
+from .errors import InvariantError, NumericError
 from .tensorio import (
     _seeded_rng,
     check_allocatable,
@@ -77,19 +77,23 @@ class SyntheticModel:
     def __post_init__(self):
         """InvariantError unless `vision_layers` is a list of str, `embed_dims`
         a list or tuple of two ints (kept as a tuple), `misc_params` an int >= 0
-        (types by `typed_attr`), names are unique, every name has a weight and
-        every weight a name, weights are finite 2-D f32 matrices, and the
-        shapes chain as the forward passes and `hessian_blocks` use them: the
-        vision stack from D_V, each layer reading the previous one's output;
-        D_M fed to the cross-modal layers, by the last vision layer or as D_V;
-        every cross-modal member reading D_M, each group's first writing D_M."""
+        (types by `typed_attr`), there is at least one name, names are unique,
+        every name has a weight and every weight a name, weights are finite
+        2-D f32 matrices, and the shapes chain as the forward passes and
+        `hessian_blocks` use them: the vision stack from D_V, each layer
+        reading the previous one's output; D_M fed to the cross-modal layers,
+        by the last vision layer or as D_V; every cross-modal member reading
+        D_M, each group's first writing D_M."""
         fields = vars(self)
         list_attr(fields, "vision_layers", str)
         if len(list_attr(fields, "embed_dims", int, (list, tuple))) != 2:
             raise InvariantError(f"embed_dims must hold two dims, got {self.embed_dims}")
-        check_misc_params(fields)
+        if typed_attr(fields, "misc_params", int) < 0:
+            raise InvariantError(f"misc_params must be >= 0, got {self.misc_params}")
         d_v, d_m = self.embed_dims = tuple(self.embed_dims)
         names = self.matrix_names()
+        if not names:
+            raise InvariantError("model has no weight matrices")
         if len(set(names)) != len(names):
             raise InvariantError("weight matrix names must be unique")
         missing = [n for n in names if n not in self.weights]
@@ -129,9 +133,9 @@ class SyntheticModel:
         Hessian block in processing order: one per vision layer, then one per
         cross-modal layer holding all eight members. Each block's samples are
         its module's calibration propagated through the original weights of
-        the earlier layers. Sample dims that do not match D_V or D_M, for a
-        module with layers, are an InvariantError before the first block;
-        empty sample lists read no weight."""
+        the earlier layers, a NumericError if they left float32's range. Sample
+        dims that do not match D_V or D_M, for a module with layers, are an
+        InvariantError before the first block; empty sample lists read no weight."""
         for what, dim_name, k, samples, layers in (
                 ("vision", "D_V", 0, vision_samples, self.vision_layers),
                 ("cross-modal", "D_M", 1, crossmodal_samples, self.crossmodal_layers)):
@@ -142,14 +146,19 @@ class SyntheticModel:
         samples = vision_samples
         for i, name in enumerate(self.vision_layers):
             if i:
-                samples = [s @ self.weights[self.vision_layers[i - 1]] for s in samples]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    samples = [s @ self.weights[self.vision_layers[i - 1]] for s in samples]
+                check_propagated(samples, "vision", i)
             yield "vision", i, [(name, None)], samples
         samples = crossmodal_samples
         for i, layer in enumerate(self.crossmodal_layers):
+            if i:
+                check_propagated(samples, "cross-modal", i)
             yield ("crossmodal", i,
                    [(name, g.group_kind) for g in layer.groups for name in g.members], samples)
             # Dead work after the last layer, kept: the benchmark self-test needs this hook.
-            samples = [self.forward_crossmodal_layer(layer, s) for s in samples]
+            with np.errstate(over="ignore", invalid="ignore"):
+                samples = [self.forward_crossmodal_layer(layer, s) for s in samples]
 
     def matrix_names(self) -> list[str]:
         """Every quantized weight matrix, in the order of `hessian_blocks`."""
@@ -168,13 +177,12 @@ class SyntheticModel:
         return x
 
 
-def check_misc_params(fields) -> int:
-    """`fields["misc_params"]`, a count of unquantized parameters, when it is
-    an int >= 0; otherwise an InvariantError."""
-    n = typed_attr(fields, "misc_params", int)
-    if n < 0:
-        raise InvariantError(f"misc_params must be >= 0, got {n}")
-    return n
+def check_propagated(samples, module: str, layer: int) -> None:
+    """NumericError unless every sample is finite: calibration propagated to
+    `module`'s layer `layer` left float32's range on the way."""
+    if not all(np.isfinite(s).all() for s in samples):
+        raise NumericError(f"calibration propagated to {module} layer {layer} "
+                           "leaves float32's range")
 
 
 def vision_seq_len(image_size: int, patch_size: int) -> int:
@@ -192,14 +200,12 @@ def generate_model(
     seed: int,
     misc_params: int = 0,
 ) -> SyntheticModel:
-    """Random synthetic model with square dim x dim weights and at least
-    one layer.
+    """Random synthetic model with square dim x dim weights.
 
     Weights are scaled by 1/sqrt(dim) so activations stay O(1) through
     arbitrarily deep stacks.
     """
-    if (dim < 1 or vision_layers < 0 or crossmodal_layers < 0
-            or vision_layers + crossmodal_layers == 0):
+    if dim < 1 or vision_layers < 0 or crossmodal_layers < 0:
         raise InvariantError("bad model geometry")
     check_allocatable(dim, dim, np.float64)  # each weight is drawn in f64
     rng = _seeded_rng(seed)

@@ -14,7 +14,7 @@ from functools import partial
 
 from .calibration import CalibrationSet, hessian_from_samples
 from .errors import InvariantError
-from .model import SyntheticModel, check_misc_params
+from .model import SyntheticModel
 from .packfmt import (
     PackedLinear,
     estimate_packed_size,
@@ -83,8 +83,7 @@ def quantize_model(
             "calibration sets must come from the vision and crossmodal modules, "
             f"got {calib_v.module_id!r} and {calib_m.module_id!r}"
         )
-    sizes = size_report([(n, *model.weights[n].shape) for n in model.matrix_names()],
-                        cfg.bits, cfg.groupsize)["per_layer"]
+    size_report(model, cfg.bits, cfg.groupsize)  # every matrix packs, before any Hessian
     layers: dict[str, PackedLinear] = {}
     entries = []
     blocks = model.hessian_blocks(calib_v.samples, calib_m.samples)
@@ -105,7 +104,6 @@ def quantize_model(
                 "out_features": int(weight.shape[1]),
                 "proxy_loss": proxy_loss(weight, q, hessian),
                 "hessian_block": block,
-                "bytes": sizes[name],
             })
 
     report = {
@@ -116,7 +114,6 @@ def quantize_model(
         "damp_ratio": cfg.damp_ratio,
         "processing_order": [e["name"] for e in entries],
         "layers": entries,
-        "misc_params": model.misc_params,
     }
     return QuantizedCheckpoint(layers, report)
 
@@ -137,30 +134,22 @@ def circular_eval_accuracy(records: list[dict]) -> float:
     return sum(all(p == a for p, a in rec["passes"]) for rec in records) / len(records)
 
 
-def size_report(
-    shapes: list[tuple[str, int, int]], bits: int, groupsize: int,
-    misc_params: int = 0,
-) -> dict:
-    """Analytic storage of (name, in_features, out_features) matrices packed
-    at (bits, groupsize), plus `misc_params` unquantized f16 parameters, with
-    the ratio against an all-f16 model. Bits and groupsize that `QuantConfig`
-    rejects, no matrices, a name listed twice, a shape that cannot be packed
-    (named in the message) and a `misc_params` that `SyntheticModel` rejects
-    are InvariantErrors."""
+def size_report(model: SyntheticModel, bits: int, groupsize: int) -> dict:
+    """Analytic storage of `model`'s weight matrices packed at (bits,
+    groupsize), plus its `misc_params` unquantized f16 parameters, with the
+    ratio against an all-f16 model. Bits and groupsize that `QuantConfig`
+    rejects, and a matrix that cannot be packed (named in the message), are
+    InvariantErrors."""
     QuantConfig(bits, groupsize)
-    if not shapes:
-        raise InvariantError("model has no weight matrices")
     per_layer = {}
-    for name, n_in, n_out in shapes:
-        if name in per_layer:
-            raise InvariantError(f"matrix {name!r} is listed twice")
+    for name in model.matrix_names():
         try:
-            per_layer[name] = estimate_packed_size(n_in, n_out, bits, groupsize)
+            per_layer[name] = estimate_packed_size(*model.weights[name].shape, bits, groupsize)
         except InvariantError as exc:
             raise InvariantError(f"matrix {name!r}: {exc}") from exc
     quant_total = sum(b["total"] for b in per_layer.values())
-    weight_f16 = sum(n_in * n_out * 2 for _, n_in, n_out in shapes)
-    misc_bytes = check_misc_params({"misc_params": misc_params}) * 2
+    weight_f16 = sum(model.weights[name].size * 2 for name in per_layer)
+    misc_bytes = model.misc_params * 2
     total = quant_total + misc_bytes
     baseline = weight_f16 + misc_bytes
     return {

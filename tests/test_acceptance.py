@@ -150,8 +150,7 @@ def test_criterion_5_compression_law():
         assert sizes["total"] == 8_732_672
         assert 0.25 <= sizes["ratio_vs_f16"] <= 0.275
         m = generate_model(1, 0, 4096, seed=5)
-        shapes = [(n, *m.weights[n].shape) for n in m.matrix_names()]
-        report = size_report(shapes, 4, 128, m.misc_params)
+        report = size_report(m, 4, 128)
         assert 0.25 <= report["ratio"] <= 0.275
         # analytic weight-payload bound for a 19B-parameter manifest at N=4
         layers = round(19e9 / (4096 * 4096))

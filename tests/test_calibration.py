@@ -144,6 +144,15 @@ class TestCapture:
         standalone = x @ model.weights[model.vision_layers[0]]
         assert np.allclose(calib.samples[0], standalone, rtol=1e-6)
 
+    @pytest.mark.filterwarnings("error")
+    def test_crossmodal_capture_that_leaves_f32_range_is_numeric_error(self):
+        # two vision layers scaling by 1e20 each: ~1e40 is beyond float32
+        model = generate_model(2, 1, 8, seed=0)
+        for name in model.vision_layers:
+            model.weights[name] = np.eye(8, dtype=np.float32) * np.float32(1e20)
+        with pytest.raises(NumericError, match="to cross-modal layer 0 leaves float32's range"):
+            capture_calibration(model, [seeded_random_matrix(4, 8, 1)], "crossmodal")
+
     def test_crossmodal_capture_without_vision_layers(self):
         # with no vision stack the cross-modal layers read the raw inputs
         model = generate_model(0, 1, 8, seed=0)

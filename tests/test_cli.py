@@ -7,8 +7,9 @@ import pytest
 
 from modquant import (
     CalibrationSet,
-    SyntheticModel,
     TileConfig,
+    capture_calibration,
+    estimate_packed_size,
     generate_model,
     load_calibration,
     load_checkpoint,
@@ -16,11 +17,13 @@ from modquant import (
     save_calibration,
     save_model,
     seeded_random_matrix,
+    synthetic_activations,
     write_container,
 )
 from modquant import cli, kernel
 from modquant.cli import main
 from modquant.kernel import tile_plan
+from modquant.model import MODEL_SCHEMA
 from modquant.quantcore import SUPPORTED_BITS
 
 FOUR_QUESTION_FIXTURE = [
@@ -107,9 +110,9 @@ def test_quantize_and_size(workspace, capsys):
     report = json.loads((workspace / "ckpt.bin.report.json").read_text())
     assert report["schema_version"] == 1
     assert report.keys() == {"schema_version", "method", "bits", "groupsize", "damp_ratio",
-                             "processing_order", "layers", "misc_params"}
+                             "processing_order", "layers"}
     assert all(e.keys() == {"name", "module", "layer_index", "group", "in_features",
-                            "out_features", "proxy_loss", "hessian_block", "bytes"}
+                            "out_features", "proxy_loss", "hessian_block"}
                for e in report["layers"])
 
     capsys.readouterr()
@@ -117,7 +120,8 @@ def test_quantize_and_size(workspace, capsys):
                  "--bits", "4", "--groupsize", "16"]) == 0
     sizes = json.loads(capsys.readouterr().out)
     assert sizes["quantized_bytes"] == sum(
-        e["bytes"]["total"] for e in report["layers"]
+        estimate_packed_size(e["in_features"], e["out_features"], 4, 16)["total"]
+        for e in report["layers"]
     )
 
 
@@ -224,9 +228,7 @@ def test_quantize_rejects_bits_3(workspace):
     (generate_model(1, 1, 12, seed=0), "12",
      "matrix 'vision.0.proj': layer shape (12, 12) must be positive, "
      "with in_features a multiple of f_int = 8"),
-    # the file that `gen-model` wrote for no layers before it refused them
-    (SyntheticModel([], [], {}, (8, 8)), "8", "model has no weight matrices"),
-], ids=["dim 12", "no matrices"])
+], ids=["dim 12"])
 def test_quantize_model_that_cannot_be_packed_is_exit_4(tmp_path, capsys, synthetic, dim,
                                                          message):
     # Checked before any Hessian is built, as `size` checks it; no file is written.
@@ -242,6 +244,41 @@ def test_quantize_model_that_cannot_be_packed_is_exit_4(tmp_path, capsys, synthe
     assert not os.path.exists(out)
     assert main(["size", "--model", model, "--bits", "4"]) == 4
     assert message in capsys.readouterr().err
+
+
+def test_model_file_with_no_matrices_is_format_error(workspace, capsys):
+    # the file that `gen-model` wrote for no layers before it refused them
+    path, out = workspace / "empty.bin", workspace / "x.bin"
+    write_container(path, {}, {"schema": MODEL_SCHEMA, "vision_layers": [],
+                               "crossmodal_layers": [], "embed_dims": [8, 8], "misc_params": 0})
+    for args in (["size", "--model", str(path), "--bits", "4"],
+                 ["quantize", "--model", str(path), "--calib-v", str(workspace / "cv.bin"),
+                  "--calib-m", str(workspace / "cm.bin"), "--bits", "4", "--out", str(out)]):
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and "model has no weight matrices" in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("crossmodal_layers,rc", [(4, 5), (3, 0)], ids=["1+4", "1+3"])
+def test_quantize_calibration_that_leaves_f32_range(tmp_path, capsys, crossmodal_layers, rc):
+    """Each layer scales activations by ~3e3 per product, so calibration
+    reaching cross-modal layer 3 has left float32's range: exit 5, naming that
+    layer. With three cross-modal layers only the forward after the last one
+    overflows, and nothing reads it. Neither case warns."""
+    m = generate_model(1, crossmodal_layers, 64, seed=1)
+    for name in m.weights:
+        m.weights[name] *= np.float32(3e3)
+    model, cv, cm, out = (str(tmp_path / f) for f in ("m.bin", "cv.bin", "cm.bin", "x.bin"))
+    save_model(m, model)
+    for module, path in (("vision", cv), ("crossmodal", cm)):
+        save_calibration(capture_calibration(m, [synthetic_activations(16, 64, 5)], module), path)
+    assert main(["quantize", "--model", model, "--calib-v", cv, "--calib-m", cm,
+                 "--bits", "8", "--out", out]) == rc
+    assert capsys.readouterr().err == ("numeric error: calibration propagated to cross-modal "
+                                       "layer 3 leaves float32's range\n" if rc else "")
+    assert os.path.exists(out) == (rc == 0)
 
 
 def test_quantize_report_path_is_not_an_option(workspace):
@@ -510,13 +547,14 @@ def test_gen_calib_negative_sizes_are_invariant_errors(tmp_path, capsys):
     assert not (tmp_path / "c.bin").exists()
 
 
-@pytest.mark.parametrize("layers,dim", [(("-1", "1"), "8"), (("1", "-1"), "8"), (("1", "1"), "0"),
-                                        (("0", "0"), "8")],
-                         ids=["vision", "crossmodal", "dim", "no layers"])
-def test_gen_model_bad_geometry_is_invariant_error(tmp_path, capsys, layers, dim):
+@pytest.mark.parametrize("layers,dim,message", [
+    (("-1", "1"), "8", "bad model geometry"), (("1", "-1"), "8", "bad model geometry"),
+    (("1", "1"), "0", "bad model geometry"), (("0", "0"), "8", "model has no weight matrices"),
+], ids=["vision", "crossmodal", "dim", "no layers"])
+def test_gen_model_bad_geometry_is_invariant_error(tmp_path, capsys, layers, dim, message):
     assert main(["gen-model", "--vision-layers", layers[0], "--crossmodal-layers", layers[1],
                  "--dim", dim, "--out", str(tmp_path / "m.bin")]) == 4
-    assert "bad model geometry" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "m.bin").exists()
 
 

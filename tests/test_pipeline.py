@@ -11,6 +11,7 @@ from modquant import (
     CalibrationSet,
     FormatError,
     InvariantError,
+    NumericError,
     QuantConfig,
     SyntheticModel,
     TileConfig,
@@ -222,6 +223,18 @@ class TestQuantizeModel:
         with pytest.raises(InvariantError, match=f"{module} calibration dim {DIM + 1}"):
             next(model.hessian_blocks(v, m))
 
+    @pytest.mark.filterwarnings("error")
+    def test_vision_step_that_leaves_f32_range_is_numeric_error(self):
+        # Each layer scales by 1e20: layer 1 reads ~1e20, layer 2 would read
+        # ~1e40, beyond float32; the walk stops before layer 2's block.
+        m = generate_model(3, 0, 8, seed=0)
+        for name in m.vision_layers:
+            m.weights[name] = np.eye(8, dtype=np.float32) * np.float32(1e20)
+        walk = m.hessian_blocks([seeded_random_matrix(4, 8, 0)], [])
+        assert [next(walk)[1], next(walk)[1]] == [0, 1]
+        with pytest.raises(NumericError, match="to vision layer 2 leaves float32's range"):
+            next(walk)
+
     def test_pipeline_follows_the_models_blocks(self, checkpoint, monkeypatch, tmp_path):
         # Split each cross-modal layer into its four groups, all reading the
         # layer input: 2 + 2 x 4 = 10 blocks, one factor each.
@@ -292,19 +305,22 @@ class TestQuantizeModel:
             )
 
     def test_report_with_retired_keys_loads(self, checkpoint, tmp_path):
-        """Older reports also hold a top-level "symmetric" and
-        "hessian_sharing", and each entry's "order_index" and "calib_sha256";
-        the loader reads none of them, so those files still load."""
+        """Older reports also hold a top-level "symmetric", "hessian_sharing"
+        and "misc_params", and each entry's "order_index", "calib_sha256" and
+        "bytes"; the loader reads none of them, so those files still load."""
         path = tmp_path / "old.bin"
         save_checkpoint(checkpoint, path)
         tensors, attrs = load_container(path)
         attrs["report"]["symmetric"] = False
+        attrs["report"]["misc_params"] = 500
         attrs["report"]["hessian_sharing"] = (
             "one Hessian per cross-modal layer, shared by all four groups "
             "(single input-feature space)")
         for i, entry in enumerate(attrs["report"]["layers"]):
             entry["order_index"] = i
             entry["calib_sha256"] = f"{entry['hessian_block']:064x}"
+            entry["bytes"] = estimate_packed_size(entry["in_features"], entry["out_features"],
+                                                  CFG.bits, CFG.groupsize)
         write_container(path, tensors, attrs)
         back = load_checkpoint(path)
         assert back.report == attrs["report"]
@@ -363,55 +379,43 @@ class TestCircularEval:
             circular_eval_accuracy(records)
 
 
-def model_shapes(m):
-    return [(n, *m.weights[n].shape) for n in m.matrix_names()]
-
-
 class TestSizeReport:
     def test_single_layer_fixture(self):
         m = generate_model(1, 0, 4096, seed=2)
-        report = size_report(model_shapes(m), 4, 128)
+        report = size_report(m, 4, 128)
         assert report["per_layer"]["vision.0.proj"]["total"] == 8_732_672
         assert report["quantized_bytes"] == 8_732_672
 
-    def test_checkpoint_matches_estimates(self, checkpoint):
+    def test_checkpoint_matches_estimates(self, model, checkpoint):
         entries = checkpoint.report["layers"]
-        shapes = [(e["name"], e["in_features"], e["out_features"]) for e in entries]
-        report = size_report(shapes, 4, 16, checkpoint.report["misc_params"])
+        report = size_report(model, 4, 16)
         expected = estimate_packed_size(DIM, DIM, 4, 16)["total"] * 18
         assert report["quantized_bytes"] == expected
         assert report["misc_bytes"] == 1000
-        assert report["per_layer"] == {e["name"]: e["bytes"] for e in entries}
+        assert report["per_layer"] == {
+            e["name"]: estimate_packed_size(e["in_features"], e["out_features"], 4, 16)
+            for e in entries}
 
     def test_no_matrices_rejected(self):
-        with pytest.raises(InvariantError, match="no weight matrices"):
-            size_report([], 4, 128)
-
-    def test_name_listed_twice_rejected(self):
-        """per_layer would hold one entry where baseline_f16 counts two."""
-        with pytest.raises(InvariantError, match="'a' is listed twice"):
-            size_report([("a", 8, 8), ("b", 8, 8), ("a", 8, 8)], 4, -1)
+        with pytest.raises(InvariantError, match="model has no weight matrices"):
+            SyntheticModel([], [], {}, (8, 8))
 
     def test_unpackable_shape_is_named_but_bad_bits_are_not(self):
-        with pytest.raises(InvariantError, match=r"^matrix 'b': layer shape \(12, 8\)"):
-            size_report([("a", 8, 8), ("b", 12, 8)], 4, -1)
+        m = generate_model(1, 1, 12, seed=0)
+        with pytest.raises(InvariantError,
+                           match=r"^matrix 'vision.0.proj': layer shape \(12, 12\)"):
+            size_report(m, 4, -1)
         with pytest.raises(InvariantError, match="^bits must be one of"):
-            size_report([("a", 8, 8)], 3, -1)
-
-    @pytest.mark.parametrize("misc_params", [-5, 2.5, "3", np.int64(3)],
-                             ids=["-5", "2.5", "str", "int64"])
-    def test_misc_params_that_a_model_rejects_rejected(self, misc_params):
-        with pytest.raises(InvariantError, match="misc_params"):
-            size_report([("a", 8, 8)], 4, -1, misc_params)
+            size_report(m, 3, -1)
 
     def test_n8_ratio(self):
         m = generate_model(1, 0, 4096, seed=3)
-        report = size_report(model_shapes(m), 8, 128)
+        report = size_report(m, 8, 128)
         assert 0.50 <= report["quantized_ratio"] <= 0.55
 
     def test_n4_ratio_law(self):
         m = generate_model(1, 0, 4096, seed=4)
-        report = size_report(model_shapes(m), 4, 128)
+        report = size_report(m, 4, 128)
         assert 0.25 <= report["quantized_ratio"] <= 0.275
         assert 0.25 <= report["ratio"] <= 0.275  # misc = 0
 

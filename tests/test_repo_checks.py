@@ -1,6 +1,6 @@
 """Checks on the repository as a whole: the package's source rules, the
-README's two examples run as written, and quantize determinism across
-processes and BLAS thread counts.
+README's two examples run as written, the benchmark's hook self-test, and
+quantize determinism across processes and BLAS thread counts.
 
 Every subprocess runs this checkout's `src` with every warning an error.
 """
@@ -26,10 +26,10 @@ README = (ROOT / "README.md").read_text(encoding="utf-8")
 TIMEOUT_S = 300
 
 
-def run(argv, cwd, **env):
+def run(argv, cwd, **env) -> str:
     """Run `argv` in `cwd` on this checkout's src, with warnings as errors
-    and `env` added; fail on a nonzero exit. The child leads its own process
-    group, so a timeout also kills what a shell started."""
+    and `env` added, and return its output; fail on a nonzero exit. The child
+    leads its own process group, so a timeout also kills what a shell started."""
     env = {**os.environ, **env, "PYTHONWARNINGS": "error",
            "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                        os.environ.get("PYTHONPATH")]))}
@@ -42,6 +42,7 @@ def run(argv, cwd, **env):
             os.killpg(proc.pid, signal.SIGKILL)
             raise
     assert proc.returncode == 0, out
+    return out
 
 
 def parse(path):
@@ -101,6 +102,11 @@ def test_readme_library_sketch(tmp_path):
     assert re.search(r"^layer = pack_linear", sketch, re.M)
     (tmp_path / "sketch.py").write_text(sketch, encoding="utf-8")
     run([sys.executable, "-W", "error", "sketch.py"], tmp_path)
+
+
+def test_benchmark_hook_selftest_passes():
+    out = run([sys.executable, "perfbench/selftest.py"], ROOT)
+    assert out.splitlines()[-1] == "selftest passed"
 
 
 @pytest.fixture(scope="module")
